@@ -11,8 +11,10 @@ traced run.  See perfbench/README.md.
 This process only orchestrates; it imports neither numpy nor hamlink.  Each
 set-up and each measurement happens in a fresh child process (child.py),
 with BLAS at one thread and pinned to one CPU.  setup_s is the median, over
-SETUPS children, of the time from starting the child to its READY line;
-the last of those children goes on to the timed phase.
+SETUPS children, of the time from starting the child to its READY line.
+The middle one of those children goes on to the timed phase, so that the
+set-ups are spread over the whole run: the host's speed drifts over
+seconds, and set-ups made back to back would all see the same state.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("batch_small", "dense_api", "moment_verify")
-SETUPS = 3
+SETUPS = 7
 # Every child is killed once the whole run has taken this long, so that the
 # command ends within 180 s even if a child hangs.
 DEADLINE_S = 170
@@ -50,29 +52,18 @@ def _child_env() -> dict:
     return env
 
 
-def _cpu() -> int | None:
-    try:
-        return max(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return None
-
-
-def run_child(args, workdir: Path, setup_only: bool, cpu, trace_out: Path | None, deadline: float) -> dict:
+def run_child(args, workdir: Path, setup_only: bool, deadline: float) -> dict:
     """Start one child; return its machine line, set-up time and result."""
     cmd = [
         sys.executable, str(HERE / "child.py"),
         "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", repr(args.seconds), "--trace", str(args.trace),
-        "--root", str(ROOT), "--workdir", str(workdir),
+        "--workdir", str(workdir),
     ]
-    if cpu is not None:
-        cmd += ["--cpu", str(cpu)]
     if setup_only:
         cmd.append("--setup-only")
     if args.smoke:
         cmd.append("--smoke")
-    if trace_out is not None:
-        cmd += ["--trace-out", str(trace_out)]
     out = {"machine": None, "setup_s": None, "result": None}
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=_child_env(), cwd=ROOT)
@@ -117,26 +108,22 @@ def main(argv=None) -> int:
         return 2
 
     deadline = time.perf_counter() + DEADLINE_S
-    cpu = _cpu()
     work_root = HERE / "_work"
     work_root.mkdir(exist_ok=True)
-    trace_out = None
-    if args.trace:
-        trace_out = HERE / "_traces" / f"{args.workload}-seed{args.seed}.jsonl"
     setups = 1 if (args.smoke or args.trace) else SETUPS
     setup_times = []
     final = None
     for i in range(setups):
-        last = i == setups - 1
+        measuring = i == setups // 2
         workdir = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=work_root))
         try:
-            child = run_child(args, workdir, not last, cpu, trace_out if last else None, deadline)
+            child = run_child(args, workdir, not measuring, deadline)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
         if i == 0:
             print(f"machine: {child['machine']}", flush=True)
         setup_times.append(child["setup_s"])
-        if last:
+        if measuring:
             final = child["result"]
     try:
         work_root.rmdir()
@@ -146,7 +133,7 @@ def main(argv=None) -> int:
     if args.trace:
         metrics = final["per_layer"]
         print(f"traced {final['jobs']} jobs, {final['spans']} spans written to "
-              f"{trace_out.relative_to(ROOT)}", flush=True)
+              f"{final['trace_file']}", flush=True)
     else:
         values = {
             "jobs_per_s": final["jobs_per_s"],
