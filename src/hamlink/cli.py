@@ -6,8 +6,9 @@ Commands:
     example    write the bundled demonstration problem
     simulate   integrate moments, alone or against a realization
 
-Exit codes: 0 success; 1 malformed input or bad parameters; 2 infeasible
-channel count; 3 verification, self-check, or trajectory comparison failed.
+Exit codes: 0 success; 1 malformed input, bad parameters or a usage error;
+2 infeasible channel count; 3 verification, self-check, or trajectory
+comparison failed.
 """
 
 from __future__ import annotations
@@ -378,7 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help and --version
+            raise
+        # argparse exits 2 on a usage error, but 2 means an infeasible
+        # channel count here; a usage error is malformed input.
+        return 1
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 1

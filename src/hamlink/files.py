@@ -64,6 +64,9 @@ def _fmt_number(x) -> str:
     value = float(x)
     if not np.isfinite(value):
         raise ValidationError("documents cannot contain non-finite numbers")
+    if value == 0.0 and np.signbit(value):
+        # "-0" would read back as the integer 0 and lose the sign.
+        return "-0.0"
     return format(value, ".17g")
 
 

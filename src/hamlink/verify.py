@@ -38,6 +38,9 @@ __all__ = [
 
 _FLAG_TOL = 1e-9
 _SYM_FLAG_TOL = 1e-10
+# Rows of two trajectories compared at once, so the difference temporaries
+# stay a fixed size whatever the step count.
+_COMPARE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,18 @@ def simulate_moments(
     Runge-Kutta with a fixed step; the covariance is re-symmetrized after
     every step.  Defaults: zero mean, vacuum covariance (1/2) I.
 
+    For a linear ODE one RK4 step applies the degree-4 Taylor polynomial of
+    the step times the generator, so the step is precomputed once as an
+    affine map.  With A_i = (dt a)^i / i! and T_j = A_0 + ... + A_j, the
+    mean advances by mu <- T_4 mu and the covariance by
+    P <- sum_i A_i P T_{4-i}.T + c, where c is one stage-form RK4 step from
+    P = 0.  This is the stage form's polynomial in dt (a P + P a.T),
+    regrouped, and costs two matrix products per step at any dimension.
+
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
-    disagree.  Raises DivergenceError with the first bad time when the state
-    leaves floating-point range.
+    disagree.  Raises DivergenceError with the time of the first non-finite
+    sample when the state leaves floating-point range.
     """
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be positive, got {t_final}")
@@ -275,33 +286,43 @@ def simulate_moments(
     ):
         raise ValidationError("initial moments contain non-finite entries")
 
+    # A_0..A_4, their partial sums T_0..T_4, and the offset c.
+    terms = [np.eye(dim)]
+    for i in range(1, 5):
+        terms.append(terms[-1] @ (dt * a) / i)
+    partial = np.cumsum(terms, axis=0)
+    left = np.hstack(terms)
+    right = np.ascontiguousarray(partial[::-1].transpose(0, 2, 1))
+
+    def dcov(pm: np.ndarray) -> np.ndarray:
+        return a @ pm + pm @ a.T + q
+
+    k2 = dcov(0.5 * dt * q)
+    k3 = dcov(0.5 * dt * k2)
+    k4 = dcov(dt * k3)
+    offset = (dt / 6.0) * (q + 2.0 * k2 + 2.0 * k3 + k4)
+    t4 = partial[4]
+
     means = np.empty((n_steps + 1, dim))
     covs = np.empty((n_steps + 1, dim, dim))
     means[0] = mu
     covs[0] = p
 
-    def dcov(pm: np.ndarray) -> np.ndarray:
-        return a @ pm + pm @ a.T + q
-
-    # Divergence is detected by the explicit finiteness check, so the
-    # overflow that precedes it is expected and not worth a warning.
+    # Divergence is detected by the finiteness check after the loop, so the
+    # overflow that precedes it is expected and not worth a warning.  A
+    # sample depends only on earlier ones, so the first non-finite sample is
+    # the same as a check inside the loop would find.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1m = a @ mu
-            k1p = dcov(p)
-            k2m = a @ (mu + 0.5 * dt * k1m)
-            k2p = dcov(p + 0.5 * dt * k1p)
-            k3m = a @ (mu + 0.5 * dt * k2m)
-            k3p = dcov(p + 0.5 * dt * k2p)
-            k4m = a @ (mu + dt * k3m)
-            k4p = dcov(p + dt * k3p)
-            mu = mu + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            p = 0.5 * (p + p.T)
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(p))):
-                raise DivergenceError((k + 1) * dt)
-            means[k + 1] = mu
-            covs[k + 1] = p
+            means[k + 1] = t4 @ means[k]
+            # P @ T_{4-i}.T stacked for i = 0..4, then summed against A_i.
+            p = left @ (covs[k] @ right).reshape(5 * dim, dim) + offset
+            covs[k + 1] = 0.5 * (p + p.T)
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(
+        covs.reshape(n_steps + 1, -1)
+    ).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(int(np.argmin(finite)) * dt)
 
     times = np.arange(n_steps + 1) * dt
     return MomentTrajectory(times=times, means=means, covariances=covs)
@@ -319,7 +340,9 @@ def compare_moment_trajectories(
 
     Integrates both from the same initial moments on the same grid and
     returns the largest entrywise deviation in mean or covariance over the
-    whole trajectory (absolute, not scaled).
+    whole trajectory (absolute, not scaled).  The deviation is taken over
+    fixed blocks of rows, so no difference array of trajectory size is
+    built.
     """
     if dyn_a.dim != dyn_b.dim:
         raise ValidationError(
@@ -327,6 +350,12 @@ def compare_moment_trajectories(
         )
     traj_a = simulate_moments(dyn_a, t_final, dt, mean0=mean0, cov0=cov0)
     traj_b = simulate_moments(dyn_b, t_final, dt, mean0=mean0, cov0=cov0)
-    d_mean = float(np.max(np.abs(traj_a.means - traj_b.means)))
-    d_cov = float(np.max(np.abs(traj_a.covariances - traj_b.covariances)))
-    return max(d_mean, d_cov)
+    worst = 0.0
+    for start in range(0, len(traj_a.times), _COMPARE_BLOCK_ROWS):
+        rows = slice(start, start + _COMPARE_BLOCK_ROWS)
+        d_mean = float(np.max(np.abs(traj_a.means[rows] - traj_b.means[rows])))
+        d_cov = float(
+            np.max(np.abs(traj_a.covariances[rows] - traj_b.covariances[rows]))
+        )
+        worst = max(worst, d_mean, d_cov)
+    return worst

@@ -100,6 +100,23 @@ class TestSynth:
         assert code == 1
         assert "comma-separated numbers" in err
 
+    def test_usage_error_is_exit_1(self, demo_paths, capsys):
+        # argparse reads "-1,-1" as an option; its usage error must not
+        # exit 2, the code of an infeasible channel count
+        problem, _ = demo_paths
+        code, _, err = run(["synth", str(problem), "--y2", "-1,-1"], capsys)
+        assert code == 1
+        assert "expected one argument" in err
+
+    def test_negative_csv_after_equals_sign(self, demo_paths, capsys):
+        problem, _ = demo_paths
+        code, _, err = run(["synth", str(problem), "--y2=-1,-1"], capsys)
+        assert code == 1
+        assert "y1*y2 = -1" in err
+        code, out, _ = run(["synth", str(problem), "--y2=-0.5,-2"], capsys)
+        assert code == 0
+        assert "verdict: PASS" in out
+
     def test_zero_coupling_gives_empty_loop(self, demo_paths, tmp_path, capsys):
         problem, _ = demo_paths
         doc = json.loads(problem.read_text())
@@ -277,6 +294,12 @@ class TestTopLevel:
         code, out, _ = run([], capsys)
         assert code == 1
         assert "usage" in out.lower()
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--help"])
+        assert info.value.code == 0
+        assert "--batch" in capsys.readouterr().out
 
     def test_version_subprocess(self):
         result = subprocess.run(

@@ -122,6 +122,28 @@ class TestReportRoundTrip:
         assert doc.provenance["tool"] == "hamlink"
         assert "input_sha256" in doc.provenance
 
+    def test_negative_zeros_survive_rewrite(self, tmp_path):
+        # non-unit loop diagonals give sigma entries equal to -0.0
+        problem = demo_problem()
+        problem_path = tmp_path / "demo.json"
+        save_problem(problem, problem_path)
+        di = problem.interaction
+        options = SynthOptions(y1=(0.7, 1.6), y2=(1.3, 0.9))
+        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options=options)
+        assert np.any((fr.sigma == 0.0) & np.signbit(fr.sigma))
+        report = check_equivalence(di, fr)
+        first = tmp_path / "first.report.json"
+        save_report(fr, report, make_provenance(problem_path, options), first)
+        doc = load_report(first)
+        for field in ("c_a", "c_b", "x", "sigma", "r_a", "r_b"):
+            ours = getattr(fr, field)
+            back = getattr(doc.realization, field)
+            assert np.array_equal(ours, back), field
+            assert np.array_equal(np.signbit(ours), np.signbit(back)), field
+        second = tmp_path / "second.report.json"
+        save_report(doc.realization, report, doc.provenance, second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_fixed_provenance_is_deterministic(self, tmp_path):
         fr, report, _ = self.make_report(tmp_path)
         fixed = {"tool": "hamlink", "version": "0.0.0"}

@@ -25,7 +25,9 @@ from hamlink import (
     synthesize,
     system_dynamics,
 )
+from hamlink import verify
 from hamlink.lqss import DirectInteraction
+from hamlink.verify import MomentTrajectory
 
 
 def golden_pair():
@@ -274,6 +276,124 @@ class TestSimulateMoments:
             simulate_moments(dyn, 1.0, 0.1, cov0=skewed)
 
 
+def stage_form_moments(dyn, t_final, dt, mean0, cov0):
+    """Classic RK4 in stage form, one step at a time: the reference that the
+    precomputed step map in simulate_moments must reproduce."""
+    n_steps = max(1, int(round(t_final / dt)))
+    a = dyn.a
+    q = 0.5 * dyn.b_ext @ dyn.b_ext.T
+    mu = np.asarray(mean0, dtype=float)
+    p = np.asarray(cov0, dtype=float)
+    means = [mu]
+    covs = [p]
+
+    def dcov(pm):
+        return a @ pm + pm @ a.T + q
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1m = a @ mu
+            k1p = dcov(p)
+            k2m = a @ (mu + 0.5 * dt * k1m)
+            k2p = dcov(p + 0.5 * dt * k1p)
+            k3m = a @ (mu + 0.5 * dt * k2m)
+            k3p = dcov(p + 0.5 * dt * k2p)
+            k4m = a @ (mu + dt * k3m)
+            k4p = dcov(p + dt * k3p)
+            mu = mu + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            p = 0.5 * (p + p.T)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(p))):
+                raise DivergenceError((k + 1) * dt)
+            means.append(mu)
+            covs.append(p)
+    return np.array(means), np.array(covs)
+
+
+def random_moments_case(rng, dim):
+    """Non-normal stable-ish drift, noise, non-zero mean, non-vacuum cov."""
+    a = rng.normal(size=(dim, dim)) - 2.0 * np.sqrt(dim) * np.eye(dim)
+    b = rng.normal(size=(dim, dim))
+    dyn = LinearDynamics(
+        a=a, b_ext=b, c_ext=np.zeros((0, dim)), d_ext=np.zeros((0, dim))
+    )
+    mean0 = rng.normal(size=dim)
+    half = rng.normal(size=(dim, dim))
+    cov0 = 0.5 * np.eye(dim) + half @ half.T
+    return dyn, mean0, cov0
+
+
+def assert_matches_stage_form(dyn, t_final, dt, mean0, cov0):
+    traj = simulate_moments(dyn, t_final, dt, mean0=mean0, cov0=cov0)
+    ref_means, ref_covs = stage_form_moments(dyn, t_final, dt, mean0, cov0)
+    assert traj.means.shape == ref_means.shape
+    assert traj.covariances.shape == ref_covs.shape
+    mean_scale = max(1.0, float(np.max(np.abs(ref_means))))
+    cov_scale = max(1.0, float(np.max(np.abs(ref_covs))))
+    assert np.max(np.abs(traj.means - ref_means)) <= 1e-12 * mean_scale
+    assert np.max(np.abs(traj.covariances - ref_covs)) <= 1e-12 * cov_scale
+    return traj
+
+
+class TestStepMapAgainstStageForm:
+    # State dimensions are even (quadrature pairs): one mode, two modes,
+    # the demo's size and the larger benchmark size.
+    @pytest.mark.parametrize("dim", [2, 4, 10, 34])
+    def test_random_drift_and_initial_moments(self, dim):
+        rng = np.random.default_rng(340 + dim)
+        dyn, mean0, cov0 = random_moments_case(rng, dim)
+        assert_matches_stage_form(dyn, 0.4, 1e-3, mean0, cov0)
+
+    def test_non_normal_drift(self):
+        # a stable drift with a large nilpotent part: transient growth of
+        # several orders before the decay sets in
+        dim = 6
+        a = -np.eye(dim) + 40.0 * np.triu(np.ones((dim, dim)), k=1)
+        assert np.linalg.norm(a @ a.T - a.T @ a) > 1.0
+        dyn = LinearDynamics(
+            a=a, b_ext=np.eye(dim), c_ext=np.zeros((0, dim)),
+            d_ext=np.zeros((0, dim)),
+        )
+        rng = np.random.default_rng(351)
+        mean0 = rng.normal(size=dim)
+        cov0 = 0.5 * np.eye(dim) + 0.1 * random_symmetric(rng, dim)
+        assert_matches_stage_form(dyn, 2.0, 2e-3, mean0, cov0)
+
+    def test_single_step(self):
+        rng = np.random.default_rng(352)
+        dyn, mean0, cov0 = random_moments_case(rng, 10)
+        traj = assert_matches_stage_form(dyn, 0.01, 0.01, mean0, cov0)
+        assert len(traj.times) == 2
+
+    @pytest.mark.parametrize("t_final,dt,steps", [(1.0, 0.3, 3), (0.1234, 0.01, 12)])
+    def test_step_that_does_not_divide_horizon(self, t_final, dt, steps):
+        rng = np.random.default_rng(353)
+        dyn, mean0, cov0 = random_moments_case(rng, 4)
+        traj = assert_matches_stage_form(dyn, t_final, dt, mean0, cov0)
+        assert len(traj.times) == steps + 1
+        assert traj.times[-1] == steps * dt
+
+    def test_golden_closed_loop(self):
+        di, fr = golden_pair()
+        dyn = closed_loop_dynamics(di, fr)
+        mean0 = np.linspace(-1.0, 1.0, dyn.dim)
+        assert_matches_stage_form(dyn, 0.5, 1e-3, mean0, 0.5 * np.eye(dyn.dim))
+
+    def test_divergence_time_matches_stage_form(self):
+        unstable = LinearDynamics(
+            a=5.0 * np.eye(2),
+            b_ext=np.zeros((2, 0)),
+            c_ext=np.zeros((0, 2)),
+            d_ext=np.zeros((0, 0)),
+        )
+        mean0 = np.array([1.0, 1.0])
+        with pytest.raises(DivergenceError) as ref:
+            stage_form_moments(unstable, 400.0, 0.5, mean0, 0.5 * np.eye(2))
+        with pytest.raises(DivergenceError) as info:
+            simulate_moments(unstable, t_final=400.0, dt=0.5, mean0=mean0)
+        assert info.value.time == ref.value.time
+
+
 class TestCompareTrajectories:
     def test_identical_dynamics_agree_exactly(self):
         dyn = damped_mode(2.0)
@@ -299,6 +419,32 @@ class TestCompareTrajectories:
             dt=1e-3,
         )
         assert residual > 1e-6
+
+    @pytest.mark.parametrize("field", ["means", "covariances"])
+    def test_deviation_in_last_partial_block(self, monkeypatch, field):
+        rows = 2 * verify._COMPARE_BLOCK_ROWS + 5
+        dim = 2
+        times = np.arange(rows) * 0.01
+        base = MomentTrajectory(
+            times=times,
+            means=np.ones((rows, dim)),
+            covariances=np.broadcast_to(0.5 * np.eye(dim), (rows, dim, dim)),
+        )
+        moved = getattr(base, field).copy()
+        moved[-1, ..., 1] += 3e-4
+        other = dataclasses.replace(base, **{field: moved})
+        results = iter([base, other])
+        calls = []
+
+        def fake(dyn, t_final, dt, mean0=None, cov0=None):
+            calls.append(dyn)
+            return next(results)
+
+        monkeypatch.setattr(verify, "simulate_moments", fake)
+        dyn = damped_mode(1.0)
+        residual = compare_moment_trajectories(dyn, dyn, times[-1], 0.01)
+        assert residual == pytest.approx(3e-4, rel=1e-9)
+        assert len(calls) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimensions"):
