@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,16 +32,16 @@ from .errors import (
     ValidationError,
 )
 from .files import (
-    _as_matrix,
-    _dumps,
+    load_mixing_matrix,
     load_problem,
     load_report,
     make_provenance,
     save_problem,
     save_report,
+    save_trajectory,
 )
 from .lqss import direct_dynamics
-from .symcore import special_svd
+from .symcore import max_abs, special_svd
 from .synth import SynthOptions, min_channels, synthesize
 from .verify import (
     check_equivalence,
@@ -66,17 +66,17 @@ def _parse_csv(text: str, flag: str) -> tuple[float, ...]:
         ) from None
 
 
-def _load_matrix_file(path: str) -> np.ndarray:
-    p = Path(path)
+def _tolerance(text: str) -> float:
+    """argparse type of --tol and --sim-tol: a finite non-negative float."""
     try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
-    return _as_matrix(doc, "p", str(p))
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}"
+        )
+    return value
 
 
 def _merge_options(base: SynthOptions, args: argparse.Namespace) -> SynthOptions:
@@ -88,7 +88,7 @@ def _merge_options(base: SynthOptions, args: argparse.Namespace) -> SynthOptions
         if raw is not None:
             updates[flag] = _parse_csv(raw, "--" + flag)
     if getattr(args, "p_matrix", None) is not None:
-        updates["p"] = _load_matrix_file(args.p_matrix)
+        updates["p"] = load_mixing_matrix(args.p_matrix)
     if getattr(args, "rank_tol", None) is not None:
         updates["rank_tol"] = args.rank_tol
     return dataclasses.replace(base, **updates) if updates else base
@@ -232,18 +232,6 @@ def cmd_example(args: argparse.Namespace) -> int:
     return 0 if report.passed else 3
 
 
-def _trajectory_doc(traj) -> dict:
-    return {
-        "format": "hamlink-trajectory",
-        "format_version": 1,
-        "times": [float(t) for t in traj.times],
-        "means": [[float(v) for v in row] for row in traj.means],
-        "covariances": [
-            [[float(v) for v in row] for row in cov] for cov in traj.covariances
-        ],
-    }
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     direct = direct_dynamics(problem.interaction)
@@ -261,7 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0 if residual <= args.sim_tol else 3
 
     traj = simulate_moments(direct, args.t_final, args.dt)
-    final_mean = float(np.max(np.abs(traj.means[-1]))) if traj.means.size else 0.0
+    final_mean = max_abs(traj.means[-1])
     final_cov = traj.covariances[-1]
     print(
         f"simulated to t={traj.times[-1]:g} in {len(traj.times) - 1} steps; "
@@ -269,7 +257,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{float(np.trace(final_cov)):.6g}"
     )
     if args.output:
-        Path(args.output).write_text(_dumps(_trajectory_doc(traj)))
+        save_trajectory(traj, args.output)
         print(f"trajectory written to {args.output}")
     return 0
 
@@ -300,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report path (default: problem path with .report.json)",
     )
     p_synth.add_argument(
-        "--tol", type=float, default=1e-8,
+        "--tol", type=_tolerance, default=1e-8,
         help="scaled residual tolerance for the built-in checks (default 1e-8)",
     )
     p_synth.add_argument("--m", type=int, help="interconnection channel count")
@@ -324,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("problem", help="problem document path")
     p_verify.add_argument("report", help="report document path")
     p_verify.add_argument(
-        "--tol", type=float, default=1e-8,
+        "--tol", type=_tolerance, default=1e-8,
         help="scaled residual tolerance (default 1e-8)",
     )
     p_verify.add_argument(
@@ -332,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also compare moment trajectories over [0, T_FINAL] at step DT",
     )
     p_verify.add_argument(
-        "--sim-tol", type=float, default=1e-6,
+        "--sim-tol", type=_tolerance, default=1e-6,
         help="absolute tolerance for the trajectory comparison (default 1e-6)",
     )
     p_verify.set_defaults(func=cmd_verify)
@@ -345,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="where to write the problem (default demo_problem.json)",
     )
     p_example.add_argument(
-        "--tol", type=float, default=1e-8,
+        "--tol", type=_tolerance, default=1e-8,
         help="scaled residual tolerance for the printed checks (default 1e-8)",
     )
     p_example.set_defaults(func=cmd_example)
@@ -366,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dt", type=float, default=1e-3, help="time step (default 1e-3)"
     )
     p_sim.add_argument(
-        "--sim-tol", type=float, default=1e-6,
+        "--sim-tol", type=_tolerance, default=1e-6,
         help="absolute tolerance in comparison mode (default 1e-6)",
     )
     p_sim.add_argument(

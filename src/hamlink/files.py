@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ValidationError
 from .lqss import DirectInteraction, LqssParams
 from .synth import FeedbackRealization, SynthOptions
-from .verify import EquivalenceReport
+from .verify import EquivalenceReport, MomentTrajectory
 
 __all__ = [
     "Problem",
@@ -32,10 +32,13 @@ __all__ = [
     "load_report",
     "save_report",
     "report_to_json",
+    "load_mixing_matrix",
+    "save_trajectory",
 ]
 
 PROBLEM_FORMAT = "hamlink-problem"
 REPORT_FORMAT = "hamlink-report"
+TRAJECTORY_FORMAT = "hamlink-trajectory"
 FORMAT_VERSION = 1
 
 
@@ -123,7 +126,7 @@ def _reject_constant(name: str):
     raise ValidationError(f"documents cannot contain {name}")
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path):
     try:
         text = path.read_text()
     except OSError as exc:
@@ -132,8 +135,6 @@ def _load_json(path: Path) -> dict:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top-level value must be an object")
     return doc
 
 
@@ -195,7 +196,9 @@ def _as_vector(value, key: str, where: str) -> tuple[float, ...] | None:
     return tuple(out)
 
 
-def _check_header(doc: dict, path: Path, expected: str) -> None:
+def _check_header(doc, path: Path, expected: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: top-level value must be an object")
     fmt = doc.get("format")
     if fmt != expected:
         raise ValidationError(
@@ -229,15 +232,18 @@ def _options_from_dict(doc: dict, where: str) -> SynthOptions:
     rank_tol = doc.get("rank_tol", 1e-10)
     if isinstance(rank_tol, bool) or not isinstance(rank_tol, (int, float)):
         raise ValidationError(f"{where}: field 'rank_tol' must be a number")
-    return SynthOptions(
-        m=m,
-        y1=_as_vector(doc.get("y1"), "y1", where),
-        y2=_as_vector(doc.get("y2"), "y2", where),
-        ga1=_as_vector(doc.get("ga1"), "ga1", where),
-        ga2=_as_vector(doc.get("ga2"), "ga2", where),
-        p=p,
-        rank_tol=float(rank_tol),
-    )
+    try:
+        return SynthOptions(
+            m=m,
+            y1=_as_vector(doc.get("y1"), "y1", where),
+            y2=_as_vector(doc.get("y2"), "y2", where),
+            ga1=_as_vector(doc.get("ga1"), "ga1", where),
+            ga2=_as_vector(doc.get("ga2"), "ga2", where),
+            p=p,
+            rank_tol=float(rank_tol),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -378,6 +384,24 @@ def save_report(
     path,
 ) -> None:
     Path(path).write_text(report_to_json(realization, report, provenance))
+
+
+def save_trajectory(traj: MomentTrajectory, path) -> None:
+    """Write a simulated trajectory as a hamlink-trajectory document."""
+    doc = {
+        "format": TRAJECTORY_FORMAT,
+        "format_version": FORMAT_VERSION,
+        "times": [float(t) for t in traj.times],
+        "means": _matrix_rows(traj.means),
+        "covariances": [_matrix_rows(cov) for cov in traj.covariances],
+    }
+    Path(path).write_text(_dumps(doc))
+
+
+def load_mixing_matrix(path) -> np.ndarray:
+    """Read a mixing-matrix file: one JSON list of rows, as for the p option."""
+    path = Path(path)
+    return _as_matrix(_load_json(path), "p", str(path))
 
 
 def load_report(path) -> ReportDoc:

@@ -16,14 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlgebraicLoopError, ValidationError
+from .errors import ValidationError
 from .symcore import (
     as_even_matrix,
-    is_sharp_skew,
-    jmat,
-    sharp_adjoint,
-    symplectic_defect,
     build_partition_permutation,
+    guarded_solve,
+    is_sharp_skew,
+    j_times,
+    jmat,
+    max_abs,
+    sharp,
+    symmetry_defect,
+    symplectic_defect,
 )
 
 __all__ = [
@@ -44,11 +48,34 @@ _SYM_TOL = 1e-12
 _SYMP_TOL = 1e-10
 
 
-def _check_symmetric(r: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
-    defect = float(np.max(np.abs(r - r.T))) if r.size else 0.0
-    if defect > _SYM_TOL * scale:
-        raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
+def _checked_system(n: int, r, c, d, c_name: str, d_name: str):
+    """Validate one system's (r, c, d) and return them as float arrays.
+
+    r must be 2n x 2n and symmetric, c must have 2n columns, and d must be
+    a symplectic gain on c's ports.
+    """
+    if n < 0:
+        raise ValidationError(f"mode count must be nonnegative, got {n}")
+    r = as_even_matrix(r, "r")
+    c = as_even_matrix(c, c_name)
+    d = as_even_matrix(d, d_name)
+    if r.shape != (2 * n, 2 * n):
+        raise ValidationError(f"r must be {2 * n} x {2 * n}, got {r.shape}")
+    defect = symmetry_defect(r)
+    if defect > _SYM_TOL * max(1.0, max_abs(r)):
+        raise ValidationError(f"r must be symmetric (defect {defect:.3e})")
+    if c.shape[1] != 2 * n:
+        raise ValidationError(
+            f"{c_name} must have {2 * n} columns, got {c.shape[1]}"
+        )
+    if d.shape != (c.shape[0], c.shape[0]):
+        raise ValidationError(
+            f"{d_name} must be {c.shape[0]} x {c.shape[0]}, got {d.shape}"
+        )
+    defect = symplectic_defect(d)
+    if defect > _SYMP_TOL * max(1.0, max_abs(d)) ** 2:
+        raise ValidationError(f"{d_name} must be symplectic (defect {defect:.3e})")
+    return r, c, d
 
 
 @dataclass(frozen=True)
@@ -65,27 +92,7 @@ class LqssParams:
     d: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"mode count must be nonnegative, got {self.n}")
-        r = as_even_matrix(self.r, "r")
-        c = as_even_matrix(self.c, "c")
-        d = as_even_matrix(self.d, "d")
-        if r.shape != (2 * self.n, 2 * self.n):
-            raise ValidationError(
-                f"r must be {2 * self.n} x {2 * self.n}, got {r.shape}"
-            )
-        _check_symmetric(r, "r")
-        if c.shape[1] != 2 * self.n:
-            raise ValidationError(
-                f"c must have {2 * self.n} columns, got {c.shape[1]}"
-            )
-        if d.shape != (c.shape[0], c.shape[0]):
-            raise ValidationError(
-                f"d must be {c.shape[0]} x {c.shape[0]}, got {d.shape}"
-            )
-        defect = symplectic_defect(d)
-        if defect > _SYMP_TOL * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0) ** 2:
-            raise ValidationError(f"d must be symplectic (defect {defect:.3e})")
+        r, c, d = _checked_system(self.n, self.r, self.c, self.d, "c", "d")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
@@ -112,29 +119,14 @@ class TwoPortLqss:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"mode count must be nonnegative, got {self.n}")
-        r = as_even_matrix(self.r, "r")
-        c_bar = as_even_matrix(self.c_bar, "c_bar")
-        d_bar = as_even_matrix(self.d_bar, "d_bar")
+        r, c_bar, d_bar = _checked_system(
+            self.n, self.r, self.c_bar, self.d_bar, "c_bar", "d_bar"
+        )
         c = as_even_matrix(self.c, "c")
-        width = 2 * self.n
-        if r.shape != (width, width):
-            raise ValidationError(f"r must be {width} x {width}, got {r.shape}")
-        _check_symmetric(r, "r")
-        for name, mat in (("c_bar", c_bar), ("c", c)):
-            if mat.shape[1] != width:
-                raise ValidationError(
-                    f"{name} must have {width} columns, got {mat.shape[1]}"
-                )
-        if d_bar.shape != (c_bar.shape[0], c_bar.shape[0]):
+        if c.shape[1] != 2 * self.n:
             raise ValidationError(
-                f"d_bar must be {c_bar.shape[0]} x {c_bar.shape[0]}, "
-                f"got {d_bar.shape}"
+                f"c must have {2 * self.n} columns, got {c.shape[1]}"
             )
-        defect = symplectic_defect(d_bar)
-        if defect > _SYMP_TOL * max(1.0, float(np.max(np.abs(d_bar))) if d_bar.size else 1.0) ** 2:
-            raise ValidationError(f"d_bar must be symplectic (defect {defect:.3e})")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c_bar", c_bar)
         object.__setattr__(self, "d_bar", d_bar)
@@ -215,8 +207,8 @@ class LinearDynamics:
         return self.a.shape[0]
 
 
-def _drift(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return jmat(n) @ r - 0.5 * sharp_adjoint(c) @ c
+def _drift(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return j_times(r) - 0.5 * sharp(c) @ c
 
 
 def _block_diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -229,25 +221,22 @@ def _block_diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 def system_dynamics(params: LqssParams) -> LinearDynamics:
     """State-space form of one isolated open system."""
     return LinearDynamics(
-        a=_drift(params.n, params.r, params.c),
-        b_ext=-sharp_adjoint(params.c) @ params.d,
+        a=_drift(params.r, params.c),
+        b_ext=-sharp(params.c) @ params.d,
         c_ext=params.c,
         d_ext=params.d,
     )
 
 
-def _external_io(
-    sys_a_c: np.ndarray,
-    sys_a_d: np.ndarray,
-    sys_b_c: np.ndarray,
-    sys_b_d: np.ndarray,
+def external_io(
+    c_a: np.ndarray, d_a: np.ndarray, c_b: np.ndarray, d_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    b_ext = _block_diag(
-        -sharp_adjoint(sys_a_c) @ sys_a_d, -sharp_adjoint(sys_b_c) @ sys_b_d
-    )
-    c_ext = _block_diag(sys_a_c, sys_b_c)
-    d_ext = _block_diag(sys_a_d, sys_b_d)
-    return b_ext, c_ext, d_ext
+    """(b_ext, c_ext, d_ext) of two systems whose external ports stay apart.
+
+    Takes each system's external coupling and gain, already validated.
+    """
+    b_ext = _block_diag(-sharp(c_a) @ d_a, -sharp(c_b) @ d_b)
+    return b_ext, _block_diag(c_a, c_b), _block_diag(d_a, d_b)
 
 
 def direct_dynamics(interaction: DirectInteraction) -> LinearDynamics:
@@ -259,79 +248,53 @@ def direct_dynamics(interaction: DirectInteraction) -> LinearDynamics:
     sa, sb = interaction.sys_a, interaction.sys_b
     a = np.block(
         [
-            [_drift(sa.n, sa.r, sa.c), jmat(sa.n) @ interaction.r_ab],
-            [jmat(sb.n) @ interaction.r_ab.T, _drift(sb.n, sb.r, sb.c)],
+            [_drift(sa.r, sa.c), j_times(interaction.r_ab)],
+            [j_times(interaction.r_ab.T), _drift(sb.r, sb.c)],
         ]
     )
-    b_ext, c_ext, d_ext = _external_io(sa.c, sa.d, sb.c, sb.d)
+    b_ext, c_ext, d_ext = external_io(sa.c, sa.d, sb.c, sb.d)
     return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
-def _loop_solve(w: np.ndarray, rhs: np.ndarray, cond_cap: float) -> np.ndarray:
-    if w.shape[0] == 0:
-        return np.zeros((0, rhs.shape[1]))
-    cond = np.linalg.cond(w)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise AlgebraicLoopError(
-            f"loop gain has an eigenvalue at or near one; I - sigma has "
-            f"condition number {cond:.3e} (cap {cond_cap:.0e})"
-        )
-    return np.linalg.solve(w, rhs)
-
-
-def _closed_loop_drift(
-    n_a: int,
+def closed_loop_drift(
     r_a: np.ndarray,
     c_bar_a: np.ndarray,
     c_a: np.ndarray,
-    n_b: int,
     r_b: np.ndarray,
     c_bar_b: np.ndarray,
     c_b: np.ndarray,
     sigma: np.ndarray,
-    cond_cap: float = 1e12,
 ) -> np.ndarray:
     """Drift of the loop-eliminated interconnection.
 
-    Shape checks only; semantic properties of the inputs (symmetry of r,
-    symplecticity of sigma) are deliberately not enforced here so that
-    reports on corrupted data can still be produced.
+    The arrays must already have consistent shapes; semantic properties
+    (symmetry of r, symplecticity of sigma) are deliberately not enforced,
+    so that reports on corrupted data can still be produced.  One guarded
+    solve gives u = (I - sigma)^-1 [c_a, c_b]; the loop terms
+    (I - sigma)^-1 sigma c = u - c follow from the identity
+    (I - sigma)^-1 sigma = (I - sigma)^-1 - I.  Raises AlgebraicLoopError
+    when I - sigma is singular or ill-conditioned.
     """
-    width = sigma.shape[0]
-    if sigma.shape[1] != width:
-        raise ValidationError(f"sigma must be square, got {sigma.shape}")
-    if c_a.shape[0] != width or c_b.shape[0] != width:
-        raise ValidationError(
-            f"loop couplings must have {width} rows, got "
-            f"{c_a.shape[0]} and {c_b.shape[0]}"
-        )
-    eye = np.eye(width)
-    w = eye - sigma
-    # (I - sigma)^-1 sigma and (I - sigma)^-1 applied to the couplings.
-    k_a = _loop_solve(w, sigma @ c_a, cond_cap)
-    k_b_through = _loop_solve(w, c_b, cond_cap)
-    k_b = _loop_solve(w, sigma @ c_b, cond_cap)
-
-    sharp_ca = sharp_adjoint(c_a)
-    sharp_cb = sharp_adjoint(c_b)
-
-    blk_aa = (
-        _drift(n_a, r_a, c_bar_a) - 0.5 * sharp_ca @ c_a - sharp_ca @ k_a
+    u = guarded_solve(
+        np.eye(sigma.shape[0]) - sigma,
+        np.hstack((c_a, c_b)),
+        "I - sigma (loop gain with an eigenvalue at or near one)",
     )
-    blk_bb = (
-        _drift(n_b, r_b, c_bar_b) - 0.5 * sharp_cb @ c_b - sharp_cb @ k_b
-    )
-    blk_ab = -sharp_ca @ k_b_through
-    blk_ba = -sharp_cb @ k_a
+    u_a = u[:, : c_a.shape[1]]
+    u_b = u[:, c_a.shape[1] :]
+    sharp_ca = sharp(c_a)
+    sharp_cb = sharp(c_b)
+    blk_aa = _drift(r_a, c_bar_a) - sharp_ca @ (u_a - 0.5 * c_a)
+    blk_bb = _drift(r_b, c_bar_b) - sharp_cb @ (u_b - 0.5 * c_b)
+    blk_ab = -sharp_ca @ u_b
+    blk_ba = -sharp_cb @ (u_a - c_a)
     return np.block([[blk_aa, blk_ab], [blk_ba, blk_bb]])
 
 
-def _skew_closed_loop_drift(
-    n_a: int,
+def skew_closed_loop_drift(
     r_a: np.ndarray,
     c_bar_a: np.ndarray,
     c_a: np.ndarray,
-    n_b: int,
     r_b: np.ndarray,
     c_bar_b: np.ndarray,
     c_b: np.ndarray,
@@ -342,30 +305,45 @@ def _skew_closed_loop_drift(
     Algebraically equal to the loop-eliminated drift with
     sigma = (x - I)(x + I)^-1, but assembled without any solve, through the
     identities (I - sigma)^-1 sigma = (x - I)/2 and (I - sigma)^-1 = (x + I)/2.
+    The arrays must already have consistent shapes.
     """
-    width = x.shape[0]
-    if x.shape[1] != width:
-        raise ValidationError(f"x must be square, got {x.shape}")
-    if c_a.shape[0] != width or c_b.shape[0] != width:
-        raise ValidationError(
-            f"loop couplings must have {width} rows, got "
-            f"{c_a.shape[0]} and {c_b.shape[0]}"
-        )
-    eye = np.eye(width)
-    sharp_ca = sharp_adjoint(c_a)
-    sharp_cb = sharp_adjoint(c_b)
-    blk_aa = _drift(n_a, r_a, c_bar_a) - 0.5 * sharp_ca @ x @ c_a
-    blk_bb = _drift(n_b, r_b, c_bar_b) - 0.5 * sharp_cb @ x @ c_b
+    eye = np.eye(x.shape[0])
+    sharp_ca = sharp(c_a)
+    sharp_cb = sharp(c_b)
+    blk_aa = _drift(r_a, c_bar_a) - 0.5 * sharp_ca @ x @ c_a
+    blk_bb = _drift(r_b, c_bar_b) - 0.5 * sharp_cb @ x @ c_b
     blk_ab = -0.5 * sharp_ca @ (x + eye) @ c_b
     blk_ba = -0.5 * sharp_cb @ (x - eye) @ c_a
     return np.block([[blk_aa, blk_ab], [blk_ba, blk_bb]])
+
+
+def _close_loop(
+    sys_a: TwoPortLqss, sys_b: TwoPortLqss, loop: np.ndarray, name: str, drift
+) -> LinearDynamics:
+    """Check the loop matrix against both systems' ports, then assemble."""
+    width = sys_a.c.shape[0]
+    if sys_b.c.shape[0] != width:
+        raise ValidationError(
+            f"interconnection port counts differ: "
+            f"{sys_a.n_loop} versus {sys_b.n_loop}"
+        )
+    if loop.shape != (width, width):
+        raise ValidationError(
+            f"{name} must be {width} x {width}, got {loop.shape}"
+        )
+    a = drift(
+        sys_a.r, sys_a.c_bar, sys_a.c, sys_b.r, sys_b.c_bar, sys_b.c, loop
+    )
+    b_ext, c_ext, d_ext = external_io(
+        sys_a.c_bar, sys_a.d_bar, sys_b.c_bar, sys_b.d_bar
+    )
+    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
 def feedback_closed_loop(
     sys_a: TwoPortLqss,
     sys_b: TwoPortLqss,
     sigma,
-    cond_cap: float = 1e12,
 ) -> LinearDynamics:
     """Eliminate the field loop between two systems through a static gain.
 
@@ -377,25 +355,7 @@ def feedback_closed_loop(
     involve only the external couplings and gains.
     """
     sigma = as_even_matrix(sigma, "sigma")
-    if sys_a.c.shape[0] != sys_b.c.shape[0]:
-        raise ValidationError(
-            f"interconnection port counts differ: "
-            f"{sys_a.n_loop} versus {sys_b.n_loop}"
-        )
-    if sigma.shape[0] != sys_a.c.shape[0]:
-        raise ValidationError(
-            f"sigma must be {sys_a.c.shape[0]} x {sys_a.c.shape[0]}, "
-            f"got {sigma.shape}"
-        )
-    a = _closed_loop_drift(
-        sys_a.n, sys_a.r, sys_a.c_bar, sys_a.c,
-        sys_b.n, sys_b.r, sys_b.c_bar, sys_b.c,
-        sigma, cond_cap,
-    )
-    b_ext, c_ext, d_ext = _external_io(
-        sys_a.c_bar, sys_a.d_bar, sys_b.c_bar, sys_b.d_bar
-    )
-    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
+    return _close_loop(sys_a, sys_b, sigma, "sigma", closed_loop_drift)
 
 
 def skew_form_closed_loop(
@@ -409,26 +369,9 @@ def skew_form_closed_loop(
     be J-skew for the result to describe a physical interconnection.
     """
     x = as_even_matrix(x, "x")
-    if not is_sharp_skew(x, 1e-9 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)):
+    if not is_sharp_skew(x, 1e-9 * max(1.0, max_abs(x))):
         raise ValidationError("loop matrix x must be J-skew")
-    if sys_a.c.shape[0] != sys_b.c.shape[0]:
-        raise ValidationError(
-            f"interconnection port counts differ: "
-            f"{sys_a.n_loop} versus {sys_b.n_loop}"
-        )
-    if x.shape[0] != sys_a.c.shape[0]:
-        raise ValidationError(
-            f"x must be {sys_a.c.shape[0]} x {sys_a.c.shape[0]}, got {x.shape}"
-        )
-    a = _skew_closed_loop_drift(
-        sys_a.n, sys_a.r, sys_a.c_bar, sys_a.c,
-        sys_b.n, sys_b.r, sys_b.c_bar, sys_b.c,
-        x,
-    )
-    b_ext, c_ext, d_ext = _external_io(
-        sys_a.c_bar, sys_a.d_bar, sys_b.c_bar, sys_b.d_bar
-    )
-    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
+    return _close_loop(sys_a, sys_b, x, "x", skew_closed_loop_drift)
 
 
 @dataclass(frozen=True)
@@ -482,4 +425,4 @@ def realizability_defect(params: LqssParams) -> float:
     j_state = jmat(params.n)
     j_ports = jmat(params.n_ports)
     res = dyn.a @ j_state + j_state @ dyn.a.T + dyn.b_ext @ j_ports @ dyn.b_ext.T
-    return float(np.max(np.abs(res))) if res.size else 0.0
+    return max_abs(res)

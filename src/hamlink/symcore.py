@@ -77,10 +77,46 @@ def sharp_adjoint(x) -> np.ndarray:
     form carried by J: applying it twice is the identity, and it reverses
     products.
     """
-    arr = as_even_matrix(x, "sharp_adjoint input")
-    r = arr.shape[0] // 2
-    s = arr.shape[1] // 2
-    return -jmat(s) @ arr.T @ jmat(r)
+    return sharp(as_even_matrix(x, "sharp_adjoint input"))
+
+
+def sharp(x: np.ndarray) -> np.ndarray:
+    """sharp_adjoint without input validation, for arrays already checked.
+
+    With X = [[A, B], [C, D]] in r x s blocks the adjoint is exactly
+    [[D.T, -B.T], [-C.T, A.T]]; it equals the dense product in value, though
+    the sign of a zero entry can differ.
+    """
+    r = x.shape[0] // 2
+    s = x.shape[1] // 2
+    out = np.empty((2 * s, 2 * r))
+    out[:s, :r] = x[r:, s:].T
+    out[:s, r:] = -x[:r, s:].T
+    out[s:, :r] = -x[r:, :s].T
+    out[s:, r:] = x[:r, :s].T
+    return out
+
+
+def j_times(x: np.ndarray) -> np.ndarray:
+    """J @ x for an array with an even row count, without forming J.
+
+    J swaps the two row halves and negates the new lower half.
+    """
+    k = x.shape[0] // 2
+    return np.concatenate((x[k:], -x[:k]))
+
+
+def max_abs(x: np.ndarray) -> float:
+    """Largest entry magnitude of an array; 0.0 when it is empty.
+
+    Residuals are scaled by max(1.0, max_abs(reference)).
+    """
+    return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def symmetry_defect(x: np.ndarray) -> float:
+    """Max-abs residual of X - X.T for a square array."""
+    return max_abs(x - x.T)
 
 
 def symplectic_defect(t) -> float:
@@ -92,8 +128,7 @@ def symplectic_defect(t) -> float:
         )
     if arr.shape[0] == 0:
         return 0.0
-    j = jmat(arr.shape[0] // 2)
-    return float(np.max(np.abs(arr @ j @ arr.T - j)))
+    return max_abs(arr @ j_times(arr.T) - jmat(arr.shape[0] // 2))
 
 
 def is_symplectic(t, tol: float = 1e-10) -> bool:
@@ -108,9 +143,7 @@ def sharp_skew_defect(x) -> float:
         raise ValidationError(
             f"J-skew test needs a square matrix, got shape {arr.shape}"
         )
-    if arr.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(arr + sharp_adjoint(arr))))
+    return max_abs(arr + sharp(arr))
 
 
 def is_sharp_skew(x, tol: float = 1e-10) -> bool:
@@ -122,11 +155,16 @@ def is_sharp_skew(x, tol: float = 1e-10) -> bool:
     return sharp_skew_defect(x) <= tol
 
 
+# Largest condition number of a matrix that guarded_solve inverts.
 _COND_CAP = 1e12
 
 
-def _guarded_solve(w: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve w @ out = rhs with a condition-number guard."""
+def guarded_solve(w: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve w @ out = rhs, refusing a singular or ill-conditioned w.
+
+    Raises AlgebraicLoopError naming `what` when the condition number of w
+    is not finite or exceeds the cap.
+    """
     if w.shape[0] == 0:
         return np.zeros((0, rhs.shape[1]))
     cond = np.linalg.cond(w)
@@ -150,7 +188,7 @@ def cayley_sigma_from_x(x, skew_tol: float = 1e-9) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"cayley input must be square, got {arr.shape}")
     defect = sharp_skew_defect(arr)
-    if defect > skew_tol * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0):
+    if defect > skew_tol * max(1.0, max_abs(arr)):
         raise ValidationError(
             f"cayley input is not J-skew (defect {defect:.3e})"
         )
@@ -160,7 +198,7 @@ def cayley_sigma_from_x(x, skew_tol: float = 1e-9) -> np.ndarray:
     eye = np.eye(n)
     # (X - I)(X + I)^-1 computed as a transposed solve to avoid an explicit
     # inverse; (X - I) and (X + I)^-1 commute, so the order is immaterial.
-    return _guarded_solve((arr + eye).T, (arr - eye).T, "X + I").T
+    return guarded_solve((arr + eye).T, (arr - eye).T, "X + I").T
 
 
 def cayley_x_from_sigma(sigma, symp_tol: float = 1e-9) -> np.ndarray:
@@ -175,7 +213,7 @@ def cayley_x_from_sigma(sigma, symp_tol: float = 1e-9) -> np.ndarray:
             f"cayley inverse input must be square, got {arr.shape}"
         )
     defect = symplectic_defect(arr)
-    if defect > symp_tol * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0) ** 2:
+    if defect > symp_tol * max(1.0, max_abs(arr)) ** 2:
         raise ValidationError(
             f"cayley inverse input is not symplectic (defect {defect:.3e})"
         )
@@ -183,7 +221,7 @@ def cayley_x_from_sigma(sigma, symp_tol: float = 1e-9) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     eye = np.eye(n)
-    return _guarded_solve((eye - arr).T, (eye + arr).T, "I - sigma").T
+    return guarded_solve((eye - arr).T, (eye + arr).T, "I - sigma").T
 
 
 def build_partition_permutation(m_a: int, m_b: int) -> np.ndarray:
@@ -225,7 +263,7 @@ def unitary_to_quadrature(s, tol: float = 1e-10) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError("scattering matrix contains non-finite entries")
     m = arr.shape[0]
-    defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(m)))) if m else 0.0
+    defect = max_abs(arr.conj().T @ arr - np.eye(m))
     if defect > tol:
         raise ValidationError(
             f"scattering matrix is not unitary (defect {defect:.3e})"

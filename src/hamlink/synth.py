@@ -30,9 +30,11 @@ from .symcore import (
     as_even_matrix,
     cayley_sigma_from_x,
     is_sharp_skew,
-    jmat,
-    sharp_adjoint,
+    j_times,
+    max_abs,
+    sharp,
     special_svd,
+    symmetry_defect,
     symplectic_defect,
 )
 
@@ -57,7 +59,8 @@ class SynthOptions:
     y1, y2: per-channel diagonals of the loop matrix factor, default ones.
     ga1, ga2: per-channel coupling gains of the first system, default ones.
     p: orthogonal symplectic 2m x 2m mixing matrix, default identity.
-    rank_tol: relative threshold deciding the numerical rank of r_ab.
+    rank_tol: relative threshold deciding the numerical rank of r_ab, in
+        [0, 1); anything else is refused on construction.
     """
 
     m: int | None = None
@@ -67,6 +70,12 @@ class SynthOptions:
     ga2: tuple[float, ...] | None = None
     p: np.ndarray | None = None
     rank_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not 0.0 <= self.rank_tol < 1.0:
+            raise ValidationError(
+                f"rank_tol must be in [0, 1), got {self.rank_tol!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,18 +154,11 @@ def min_channels(r_ab, rank_tol: float = 1e-10) -> int:
     return (rank + 1) // 2
 
 
-def coupling_relation_residual(r_ab, c_a, c_b, x) -> float:
-    """Scaled residual of the coupling factorization identity.
-
-    Measures how far r_ab is from (1/2) J c_a# (x + I) c_b, as a max-abs
-    residual divided by max(1, max-abs of r_ab).  A valid realization drives
-    this to floating-point level.
-    """
-    r_ab = as_even_matrix(r_ab, "r_ab")
+def _loop_arrays(c_a, c_b, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate two loop couplings against a square loop matrix."""
     c_a = as_even_matrix(c_a, "c_a")
     c_b = as_even_matrix(c_b, "c_b")
     x = as_even_matrix(x, "x")
-    n_a = r_ab.shape[0] // 2
     width = x.shape[0]
     if x.shape[1] != width:
         raise ValidationError(f"x must be square, got {x.shape}")
@@ -165,15 +167,25 @@ def coupling_relation_residual(r_ab, c_a, c_b, x) -> float:
             f"couplings must have {width} rows, got "
             f"{c_a.shape[0]} and {c_b.shape[0]}"
         )
+    return c_a, c_b, x
+
+
+def coupling_relation_residual(r_ab, c_a, c_b, x) -> float:
+    """Scaled residual of the coupling factorization identity.
+
+    Measures how far r_ab is from (1/2) J c_a# (x + I) c_b, as a max-abs
+    residual divided by max(1, max-abs of r_ab).  A valid realization drives
+    this to floating-point level.
+    """
+    r_ab = as_even_matrix(r_ab, "r_ab")
+    c_a, c_b, x = _loop_arrays(c_a, c_b, x)
     if c_a.shape[1] != r_ab.shape[0] or c_b.shape[1] != r_ab.shape[1]:
         raise ValidationError(
             f"coupling columns {c_a.shape[1]} x {c_b.shape[1]} do not match "
             f"r_ab shape {r_ab.shape}"
         )
-    rhs = 0.5 * jmat(n_a) @ sharp_adjoint(c_a) @ (x + np.eye(width)) @ c_b
-    res = float(np.max(np.abs(r_ab - rhs))) if r_ab.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(r_ab))) if r_ab.size else 0.0)
-    return res / scale
+    rhs = 0.5 * j_times(sharp(c_a) @ (x + np.eye(x.shape[0])) @ c_b)
+    return max_abs(r_ab - rhs) / max(1.0, max_abs(r_ab))
 
 
 def transpose_coupling_identity_check(c_a, c_b, x) -> float:
@@ -183,24 +195,11 @@ def transpose_coupling_identity_check(c_a, c_b, x) -> float:
     (1/2) J c_b# (x - I) c_a.  The returned defect is at rounding level for
     any realization built by this module and grows when x loses J-skewness.
     """
-    c_a = as_even_matrix(c_a, "c_a")
-    c_b = as_even_matrix(c_b, "c_b")
-    x = as_even_matrix(x, "x")
-    width = x.shape[0]
-    if x.shape[1] != width:
-        raise ValidationError(f"x must be square, got {x.shape}")
-    if c_a.shape[0] != width or c_b.shape[0] != width:
-        raise ValidationError(
-            f"couplings must have {width} rows, got "
-            f"{c_a.shape[0]} and {c_b.shape[0]}"
-        )
-    n_a = c_a.shape[1] // 2
-    n_b = c_b.shape[1] // 2
-    eye = np.eye(width)
-    fwd = 0.5 * jmat(n_a) @ sharp_adjoint(c_a) @ (x + eye) @ c_b
-    back = 0.5 * jmat(n_b) @ sharp_adjoint(c_b) @ (x - eye) @ c_a
-    diff = fwd.T - back
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    c_a, c_b, x = _loop_arrays(c_a, c_b, x)
+    eye = np.eye(x.shape[0])
+    fwd = 0.5 * j_times(sharp(c_a) @ (x + eye) @ c_b)
+    back = 0.5 * j_times(sharp(c_b) @ (x - eye) @ c_a)
+    return max_abs(fwd.T - back)
 
 
 def hamiltonian_corrections(r_bar, c, x, skew_tol: float = 1e-9) -> np.ndarray:
@@ -224,11 +223,9 @@ def hamiltonian_corrections(r_bar, c, x, skew_tol: float = 1e-9) -> np.ndarray:
         raise ValidationError(
             f"x must be {c.shape[0]} x {c.shape[0]}, got {x.shape}"
         )
-    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if not is_sharp_skew(x, skew_tol * scale):
+    if not is_sharp_skew(x, skew_tol * max(1.0, max_abs(x))):
         raise ValidationError("loop matrix x must be J-skew")
-    n = r_bar.shape[0] // 2
-    out = r_bar - 0.5 * jmat(n) @ (sharp_adjoint(c) @ x @ c)
+    out = r_bar - 0.5 * j_times(sharp(c) @ x @ c)
     return 0.5 * (out + out.T)
 
 
@@ -250,13 +247,6 @@ def _resolve_diag(values, name: str, m: int) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
-
-
-def _check_symmetric(r: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
-    defect = float(np.max(np.abs(r - r.T))) if r.size else 0.0
-    if defect > 1e-12 * scale:
-        raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
 
 
 def synthesize(
@@ -286,8 +276,10 @@ def synthesize(
         raise ValidationError(f"r_bar_a must be square, got {r_bar_a.shape}")
     if r_bar_b.shape[0] != r_bar_b.shape[1]:
         raise ValidationError(f"r_bar_b must be square, got {r_bar_b.shape}")
-    _check_symmetric(r_bar_a, "r_bar_a")
-    _check_symmetric(r_bar_b, "r_bar_b")
+    for name, r in (("r_bar_a", r_bar_a), ("r_bar_b", r_bar_b)):
+        defect = symmetry_defect(r)
+        if defect > 1e-12 * max(1.0, max_abs(r)):
+            raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
     n_a = r_bar_a.shape[0] // 2
     n_b = r_bar_b.shape[0] // 2
     if r_ab.shape != (2 * n_a, 2 * n_b):
@@ -319,7 +311,7 @@ def synthesize(
             raise ValidationError(
                 f"p must be {2 * m} x {2 * m}, got {p.shape}"
             )
-        ortho = float(np.max(np.abs(p.T @ p - np.eye(2 * m)))) if p.size else 0.0
+        ortho = max_abs(p.T @ p - np.eye(2 * m))
         if ortho > 1e-10:
             raise ValidationError(f"p must be orthogonal (defect {ortho:.3e})")
         if symplectic_defect(p) > 1e-10:
@@ -374,7 +366,7 @@ def synthesize(
     y[m:, m:][np.diag_indices(m)] = y2
     y = p.T @ y @ p
     y = 0.5 * (y + y.T)
-    x = -jmat(m) @ y
+    x = -j_times(y)
     sigma = cayley_sigma_from_x(x)
 
     r_a = hamiltonian_corrections(r_bar_a, c_a, x)

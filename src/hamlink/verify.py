@@ -19,12 +19,12 @@ from .errors import DivergenceError, ValidationError
 from .lqss import (
     DirectInteraction,
     LinearDynamics,
-    _closed_loop_drift,
-    _external_io,
-    _skew_closed_loop_drift,
+    closed_loop_drift,
     direct_dynamics,
+    external_io,
+    skew_closed_loop_drift,
 )
-from .symcore import sharp_skew_defect, symplectic_defect
+from .symcore import max_abs, sharp_skew_defect, symmetry_defect, symplectic_defect
 from .synth import FeedbackRealization, coupling_relation_residual
 
 __all__ = [
@@ -41,6 +41,9 @@ _SYM_FLAG_TOL = 1e-10
 # Rows of two trajectories compared at once, so the difference temporaries
 # stay a fixed size whatever the step count.
 _COMPARE_BLOCK_ROWS = 256
+# Integration steps between finiteness checks: a diverging run stops within
+# this many steps of its first overflow instead of at the end of its grid.
+_DIVERGENCE_CHECK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,6 @@ class EquivalenceReport:
         return [name for name, ok in self.checks.items() if not ok]
 
 
-def _scaled_max_abs(diff: np.ndarray, ref: np.ndarray) -> float:
-    res = float(np.max(np.abs(diff))) if diff.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(ref))) if ref.size else 0.0)
-    return res / scale
-
-
 def check_equivalence(
     interaction: DirectInteraction,
     realization: FeedbackRealization,
@@ -101,26 +98,19 @@ def check_equivalence(
 
     The direct drift is assembled from the composite Hamiltonian; the
     feedback drift is assembled twice, once by eliminating the loop through
-    sigma and once from the J-skew loop matrix without any solve.  Both are
-    compared against the direct drift.  Structural flags are evaluated with
-    fixed thresholds regardless of tol, so a corrupted realization is
-    reported rather than rejected.  Raises ValidationError on dimension
-    mismatch and AlgebraicLoopError when sigma has an eigenvalue so close to
-    one that loop elimination is ill-conditioned.
+    sigma (closed_loop_dynamics) and once from the J-skew loop matrix
+    without any solve.  Both are compared against the direct drift.
+    Structural flags are evaluated with fixed thresholds regardless of tol,
+    so a corrupted realization is reported rather than rejected.  Raises ValidationError on dimension
+    mismatch or a tol that is not a finite non-negative number, and
+    AlgebraicLoopError when sigma has an eigenvalue so close to one that
+    loop elimination is ill-conditioned.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
     di = interaction
     fr = realization
-    if fr.c_a.shape[1] != 2 * di.sys_a.n or fr.c_b.shape[1] != 2 * di.sys_b.n:
-        raise ValidationError(
-            f"realization couples {fr.c_a.shape[1] // 2} + "
-            f"{fr.c_b.shape[1] // 2} modes, problem has "
-            f"{di.sys_a.n} + {di.sys_b.n}"
-        )
-
-    x_scale = max(1.0, float(np.max(np.abs(fr.x))) if fr.x.size else 1.0)
-    s_scale = max(1.0, float(np.max(np.abs(fr.sigma))) if fr.sigma.size else 1.0)
-    ra_scale = max(1.0, float(np.max(np.abs(fr.r_a))) if fr.r_a.size else 1.0)
-    rb_scale = max(1.0, float(np.max(np.abs(fr.r_b))) if fr.r_b.size else 1.0)
+    closed = closed_loop_dynamics(di, fr)
 
     if fr.sigma.shape[0]:
         eigs = np.linalg.eigvals(fr.sigma)
@@ -129,39 +119,27 @@ def check_equivalence(
         margin = float("inf")
 
     flags = {
-        "x_sharp_skew": sharp_skew_defect(fr.x) <= _FLAG_TOL * x_scale,
-        "sigma_symplectic": symplectic_defect(fr.sigma) <= _FLAG_TOL * s_scale**2,
+        "x_sharp_skew": sharp_skew_defect(fr.x) <= _FLAG_TOL * max(1.0, max_abs(fr.x)),
+        "sigma_symplectic": symplectic_defect(fr.sigma)
+        <= _FLAG_TOL * max(1.0, max_abs(fr.sigma)) ** 2,
         "sigma_no_unit_eigenvalue": margin > _FLAG_TOL,
-        "r_a_symmetric": (
-            float(np.max(np.abs(fr.r_a - fr.r_a.T))) if fr.r_a.size else 0.0
-        ) <= _SYM_FLAG_TOL * ra_scale,
-        "r_b_symmetric": (
-            float(np.max(np.abs(fr.r_b - fr.r_b.T))) if fr.r_b.size else 0.0
-        ) <= _SYM_FLAG_TOL * rb_scale,
+        "r_a_symmetric": symmetry_defect(fr.r_a)
+        <= _SYM_FLAG_TOL * max(1.0, max_abs(fr.r_a)),
+        "r_b_symmetric": symmetry_defect(fr.r_b)
+        <= _SYM_FLAG_TOL * max(1.0, max_abs(fr.r_b)),
     }
 
-    coupling = coupling_relation_residual(di.r_ab, fr.c_a, fr.c_b, fr.x)
-
     direct = direct_dynamics(di)
-    closed_a = _closed_loop_drift(
-        di.sys_a.n, fr.r_a, di.sys_a.c, fr.c_a,
-        di.sys_b.n, fr.r_b, di.sys_b.c, fr.c_b,
-        fr.sigma,
+    skew_a = skew_closed_loop_drift(
+        fr.r_a, di.sys_a.c, fr.c_a, fr.r_b, di.sys_b.c, fr.c_b, fr.x
     )
-    skew_a = _skew_closed_loop_drift(
-        di.sys_a.n, fr.r_a, di.sys_a.c, fr.c_a,
-        di.sys_b.n, fr.r_b, di.sys_b.c, fr.c_b,
-        fr.x,
-    )
-    b_closed, _, _ = _external_io(
-        di.sys_a.c, di.sys_a.d, di.sys_b.c, di.sys_b.d
-    )
-
+    a_scale = max(1.0, max_abs(direct.a))
     return EquivalenceReport(
-        drift_residual=_scaled_max_abs(direct.a - closed_a, direct.a),
-        skew_drift_residual=_scaled_max_abs(direct.a - skew_a, direct.a),
-        noise_residual=_scaled_max_abs(direct.b_ext - b_closed, direct.b_ext),
-        coupling_residual=coupling,
+        drift_residual=max_abs(direct.a - closed.a) / a_scale,
+        skew_drift_residual=max_abs(direct.a - skew_a) / a_scale,
+        noise_residual=max_abs(direct.b_ext - closed.b_ext)
+        / max(1.0, max_abs(direct.b_ext)),
+        coupling_residual=coupling_relation_residual(di.r_ab, fr.c_a, fr.c_b, fr.x),
         sigma_unit_margin=margin,
         flags=flags,
         tol=tol,
@@ -171,7 +149,6 @@ def check_equivalence(
 def closed_loop_dynamics(
     interaction: DirectInteraction,
     realization: FeedbackRealization,
-    cond_cap: float = 1e12,
 ) -> LinearDynamics:
     """Full state-space form of the realization's closed loop.
 
@@ -189,12 +166,10 @@ def closed_loop_dynamics(
             f"{fr.c_b.shape[1] // 2} modes, problem has "
             f"{di.sys_a.n} + {di.sys_b.n}"
         )
-    a = _closed_loop_drift(
-        di.sys_a.n, fr.r_a, di.sys_a.c, fr.c_a,
-        di.sys_b.n, fr.r_b, di.sys_b.c, fr.c_b,
-        fr.sigma, cond_cap,
+    a = closed_loop_drift(
+        fr.r_a, di.sys_a.c, fr.c_a, fr.r_b, di.sys_b.c, fr.c_b, fr.sigma
     )
-    b_ext, c_ext, d_ext = _external_io(
+    b_ext, c_ext, d_ext = external_io(
         di.sys_a.c, di.sys_a.d, di.sys_b.c, di.sys_b.d
     )
     return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
@@ -277,8 +252,8 @@ def simulate_moments(
             raise ValidationError(
                 f"cov0 must be {dim} x {dim}, got {p.shape}"
             )
-        defect = float(np.max(np.abs(p - p.T))) if p.size else 0.0
-        if defect > 1e-9 * max(1.0, float(np.max(np.abs(p))) if p.size else 1.0):
+        defect = symmetry_defect(p)
+        if defect > 1e-9 * max(1.0, max_abs(p)):
             raise ValidationError(f"cov0 must be symmetric (defect {defect:.3e})")
         p = 0.5 * (p + p.T)
     if (mu.size and not np.all(np.isfinite(mu))) or (
@@ -308,21 +283,23 @@ def simulate_moments(
     means[0] = mu
     covs[0] = p
 
-    # Divergence is detected by the finiteness check after the loop, so the
-    # overflow that precedes it is expected and not worth a warning.  A
-    # sample depends only on earlier ones, so the first non-finite sample is
-    # the same as a check inside the loop would find.
+    # Divergence is detected by a finiteness check after each block of
+    # steps, so the overflow that precedes it is expected and not worth a
+    # warning.  The first non-finite sample of the block gives the time.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            means[k + 1] = t4 @ means[k]
-            # P @ T_{4-i}.T stacked for i = 0..4, then summed against A_i.
-            p = left @ (covs[k] @ right).reshape(5 * dim, dim) + offset
-            covs[k + 1] = 0.5 * (p + p.T)
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(
-        covs.reshape(n_steps + 1, -1)
-    ).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(int(np.argmin(finite)) * dt)
+        for start in range(0, n_steps, _DIVERGENCE_CHECK_STEPS):
+            stop = min(start + _DIVERGENCE_CHECK_STEPS, n_steps)
+            for k in range(start, stop):
+                means[k + 1] = t4 @ means[k]
+                # P @ T_{4-i}.T stacked for i = 0..4, then summed against A_i.
+                p = left @ (covs[k] @ right).reshape(5 * dim, dim) + offset
+                covs[k + 1] = 0.5 * (p + p.T)
+            rows = slice(start + 1, stop + 1)
+            finite = np.isfinite(means[rows]).all(axis=1) & np.isfinite(
+                covs[rows].reshape(stop - start, -1)
+            ).all(axis=1)
+            if not finite.all():
+                raise DivergenceError((start + 1 + int(np.argmin(finite))) * dt)
 
     times = np.arange(n_steps + 1) * dt
     return MomentTrajectory(times=times, means=means, covariances=covs)
@@ -353,9 +330,7 @@ def compare_moment_trajectories(
     worst = 0.0
     for start in range(0, len(traj_a.times), _COMPARE_BLOCK_ROWS):
         rows = slice(start, start + _COMPARE_BLOCK_ROWS)
-        d_mean = float(np.max(np.abs(traj_a.means[rows] - traj_b.means[rows])))
-        d_cov = float(
-            np.max(np.abs(traj_a.covariances[rows] - traj_b.covariances[rows]))
-        )
+        d_mean = max_abs(traj_a.means[rows] - traj_b.means[rows])
+        d_cov = max_abs(traj_a.covariances[rows] - traj_b.covariances[rows])
         worst = max(worst, d_mean, d_cov)
     return worst

@@ -117,6 +117,31 @@ class TestSynth:
         assert code == 0
         assert "verdict: PASS" in out
 
+    def test_p_matrix_with_nan_literal_is_exit_1(self, demo_paths, tmp_path, capsys):
+        problem, _ = demo_paths
+        p_path = tmp_path / "p_nan.json"
+        p_path.write_text("[[NaN, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]")
+        code, _, err = run(["synth", str(problem), "--p-matrix", str(p_path)], capsys)
+        assert code == 1
+        assert "documents cannot contain NaN" in err
+
+    @pytest.mark.parametrize(
+        "flag,needle",
+        [
+            ("--tol=-1e-8", "--tol"),
+            ("--tol=nan", "--tol"),
+            ("--tol=inf", "--tol"),
+            ("--rank-tol=2", "rank_tol"),
+            ("--rank-tol=nan", "rank_tol"),
+        ],
+    )
+    def test_bad_tolerance_is_exit_1(self, demo_paths, capsys, flag, needle):
+        problem, report = demo_paths
+        code, _, err = run(["synth", str(problem), flag], capsys)
+        assert code == 1
+        assert needle in err
+        assert not report.exists()
+
     def test_zero_coupling_gives_empty_loop(self, demo_paths, tmp_path, capsys):
         problem, _ = demo_paths
         doc = json.loads(problem.read_text())
@@ -217,6 +242,15 @@ class TestVerify:
         code, _, err = run(["verify", str(bigger), str(report)], capsys)
         assert code == 1
         assert "realization couples 2 + 3 modes, problem has 3 + 3" in err
+
+    def test_bad_tolerances_are_exit_1(self, demo_paths, capsys):
+        problem, report = demo_paths
+        run(["synth", str(problem)], capsys)
+        for flags in (["--tol", "-1"], ["--sim-tol=-1e-6"], ["--sim-tol", "nan"]):
+            code, out, err = run(["verify", str(problem), str(report), *flags], capsys)
+            assert code == 1, flags
+            assert flags[0].split("=")[0] in err
+            assert "verdict" not in out
 
     def test_mismatched_documents_fail(self, demo_paths, tmp_path, capsys):
         problem, report = demo_paths

@@ -1,0 +1,46 @@
+"""Package structure: modules share only public names with each other."""
+
+import ast
+from pathlib import Path
+
+import hamlink
+
+PACKAGE_DIR = Path(hamlink.__file__).resolve().parent
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another hamlink module.
+
+    Dunder names such as __version__ are not private and are allowed.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and not (module == "hamlink" or module.startswith("hamlink.")):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"{'.' * node.level}{module}.{name}")
+    return found
+
+
+def test_detector_sees_relative_and_absolute_imports():
+    source = (
+        "from .files import _dumps, load_problem\n"
+        "from hamlink.lqss import _drift\n"
+        "from . import __version__\n"
+        "from os.path import _private_elsewhere\n"
+    )
+    assert private_sibling_imports(source) == [".files._dumps", "hamlink.lqss._drift"]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := private_sibling_imports(path.read_text()))
+    }
+    assert offenders == {}

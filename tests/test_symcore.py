@@ -26,6 +26,7 @@ from hamlink import (
     symplectic_defect,
     unitary_to_quadrature,
 )
+from hamlink.symcore import j_times, sharp
 
 GOLDEN_COUPLING = np.array(
     [
@@ -70,10 +71,17 @@ class TestJmat:
 class TestSharpAdjoint:
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(11)
-        for r, s in [(1, 1), (2, 3), (3, 1), (4, 4)]:
-            x = rng.normal(size=(2 * r, 2 * s))
+        shapes = [(1, 1), (2, 3), (3, 1), (4, 4), (0, 2), (2, 0), (0, 0)]
+        cases = [rng.normal(size=(2 * r, 2 * s)) for r, s in shapes]
+        cases.append(np.array([[-0.0, 1.0, 0.0, -2.0], [0.0, -0.0, -0.0, 3.0]]))
+        for x in cases:
+            r, s = x.shape[0] // 2, x.shape[1] // 2
             oracle = -skew_form(s) @ x.T @ skew_form(r)
             assert np.allclose(sharp_adjoint(x), oracle, atol=1e-14)
+            # the block kernels are exact: equal in value, zero signs aside
+            assert np.array_equal(sharp_adjoint(x), oracle)
+            assert np.array_equal(sharp(x), oracle)
+            assert np.array_equal(j_times(x), skew_form(r) @ x)
 
     def test_involution(self):
         rng = np.random.default_rng(12)

@@ -280,6 +280,16 @@ class TestCouplingIdentities:
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize("rank_tol", [float("nan"), -1e-3, 1.0, 2.0])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        with pytest.raises(ValidationError, match="rank_tol"):
+            SynthOptions(rank_tol=rank_tol)
+
+    def test_zero_rank_tol_accepted(self):
+        di = demo_problem().interaction
+        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(rank_tol=0.0))
+        assert check_equivalence(di, fr).passed
+
     def test_asymmetric_base_hamiltonian(self):
         di = demo_problem().interaction
         bad = di.sys_a.r.copy()

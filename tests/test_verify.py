@@ -1,6 +1,7 @@
 """Equivalence reports, moment integration, trajectory comparison."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from conftest import random_symmetric
 from hamlink import (
+    AlgebraicLoopError,
     DivergenceError,
     FeedbackRealization,
     LinearDynamics,
     LqssParams,
+    SynthOptions,
     TwoPortLqss,
     ValidationError,
     check_equivalence,
@@ -97,6 +100,31 @@ class TestCheckEquivalence:
         )
         with pytest.raises(ValidationError, match="modes"):
             check_equivalence(small, wrong)
+
+    def test_near_unit_loop_gain_passes_both_drift_paths(self):
+        # y1*y2 = -1.001 puts sigma's eigenvalues near one; eliminating the
+        # loop with one solve keeps the drift residual within tolerance
+        di = demo_problem().interaction
+        options = SynthOptions(y1=(1.0, 1.0), y2=(-1.001, -1.001))
+        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+        report = check_equivalence(di, fr)
+        assert report.drift_residual <= report.tol
+        assert report.skew_drift_residual <= report.tol
+        assert report.passed, report.failing()
+
+    def test_unit_eigenvalue_sigma_is_algebraic_loop(self):
+        di, fr = golden_pair()
+        stuck = dataclasses.replace(fr, sigma=np.eye(4))
+        with pytest.raises(AlgebraicLoopError):
+            check_equivalence(di, stuck)
+        with pytest.raises(AlgebraicLoopError):
+            closed_loop_dynamics(di, stuck)
+
+    @pytest.mark.parametrize("tol", [-1e-8, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        di, fr = golden_pair()
+        with pytest.raises(ValidationError, match="tol"):
+            check_equivalence(di, fr, tol=tol)
 
     def test_failing_names_are_check_keys(self):
         di, fr = golden_pair()
@@ -257,6 +285,27 @@ class TestSimulateMoments:
             )
         assert 0.0 < info.value.time <= 400.0
         assert "diverged" in str(info.value)
+
+    def test_divergence_stops_early(self):
+        # the covariance overflows at t = 85 of 20000; the run must stop
+        # near there rather than integrate the rest of its 40000 steps
+        def timed_run(a, mean0):
+            dyn = LinearDynamics(
+                a=a, b_ext=np.zeros((2, 0)), c_ext=np.zeros((0, 2)),
+                d_ext=np.zeros((0, 0)),
+            )
+            start = time.perf_counter()
+            try:
+                simulate_moments(dyn, t_final=20000.0, dt=0.5, mean0=mean0)
+            except DivergenceError as exc:
+                return time.perf_counter() - start, exc.time
+            return time.perf_counter() - start, None
+
+        full, diverged = timed_run(-2.0 * np.eye(2), None)
+        assert diverged is None
+        early, diverged = timed_run(5.0 * np.eye(2), np.array([1.0, 1.0]))
+        assert diverged == 85.0
+        assert early < 0.1 * full
 
     def test_rejects_bad_steps(self):
         dyn = damped_mode(1.0)
