@@ -1,8 +1,9 @@
 """Problem and report documents.
 
-Both document kinds are JSON with a fixed key order and floats printed at
-17 significant digits, so writing is deterministic (byte-identical for
-equal inputs) and reading recovers every matrix bit-identically.  Problem
+Every document kind is JSON written by one json.dumps call: fixed key
+order, two-space layout, floats in Python's shortest round-trip form, so
+writing is deterministic (byte-identical for equal inputs) and reading
+recovers every matrix bit-identically, negative zeros included.  Problem
 documents carry no timestamps; report documents carry provenance (tool
 version, input digest, timestamp, effective parameters).
 """
@@ -59,67 +60,14 @@ class ReportDoc:
     provenance: dict
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    value = float(x)
-    if not np.isfinite(value):
-        raise ValidationError("documents cannot contain non-finite numbers")
-    if value == 0.0 and np.signbit(value):
-        # "-0" would read back as the integer 0 and lose the sign.
-        return "-0.0"
-    return format(value, ".17g")
-
-
-def _emit(obj, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad}  "{key}": ')
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in items):
-            out.append("[" + ", ".join(_fmt_number(v) for v in items) + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(items):
-            out.append(pad + "  ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, float, np.integer, np.floating)):
-        out.append(_fmt_number(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
-
-
 def _dumps(doc: dict) -> str:
-    out: list[str] = []
-    _emit(doc, out, 0)
-    out.append("\n")
-    return "".join(out)
-
-
-def _matrix_rows(mat: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(mat, dtype=float)]
+    """The one writer of every document: json's two-space layout."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError("documents cannot contain non-finite numbers") from exc
+    except TypeError as exc:
+        raise ValidationError(f"cannot serialize document: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -146,41 +94,52 @@ def _get(doc: dict, key: str, where: str):
 
 def _as_int(doc: dict, key: str, where: str) -> int:
     value = _get(doc, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ValidationError(f"{where}: field '{key}' must be an integer")
     return value
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _check_numbers(entries: list, key: str, where: str, row: int | None = None) -> None:
+    """Refuse any entry json did not read as a number: true, null, "1.5", ..."""
+    # The set test scans the row in C; the loop runs only to name the entry.
+    if _NUMBER_TYPES.issuperset(map(type, entries)):
+        return
+    j = next(j for j, entry in enumerate(entries) if type(entry) not in _NUMBER_TYPES)
+    at = j if row is None else (row, j)
+    raise ValidationError(f"{where}: '{key}' entry {at} is not a number")
+
+
+def _floats(value, key: str, where: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ValidationError(
+            f"{where}: '{key}' has an integer too large for a float"
+        ) from None
+
+
 def _as_matrix(value, key: str, where: str, cols: int | None = None) -> np.ndarray:
+    """A list of equal rows of numbers; an empty list has `cols` columns."""
     if not isinstance(value, list):
         raise ValidationError(f"{where}: field '{key}' must be a list of rows")
-    if not value:
-        return np.zeros((0, cols if cols is not None else 0))
-    rows = []
-    width = None
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise ValidationError(f"{where}: '{key}' row {i} is not a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(value[0]):
             raise ValidationError(
                 f"{where}: '{key}' row {i} has {len(row)} entries, "
-                f"expected {width}"
+                f"expected {len(value[0])}"
             )
-        numbers = []
-        for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ValidationError(
-                    f"{where}: '{key}' entry ({i}, {j}) is not a number"
-                )
-            numbers.append(float(entry))
-        rows.append(numbers)
+        _check_numbers(row, key, where, i)
+    width = len(value[0]) if value else cols or 0
     if cols is not None and width != cols:
         raise ValidationError(
             f"{where}: '{key}' has {width} columns, expected {cols}"
         )
-    return np.array(rows)
+    return _floats(value, key, where).reshape(len(value), width)
 
 
 def _as_vector(value, key: str, where: str) -> tuple[float, ...] | None:
@@ -188,12 +147,8 @@ def _as_vector(value, key: str, where: str) -> tuple[float, ...] | None:
         return None
     if not isinstance(value, list):
         raise ValidationError(f"{where}: field '{key}' must be a list or null")
-    out = []
-    for i, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValidationError(f"{where}: '{key}' entry {i} is not a number")
-        out.append(float(entry))
-    return tuple(out)
+    _check_numbers(value, key, where)
+    return tuple(_floats(value, key, where).tolist())
 
 
 def _check_header(doc, path: Path, expected: str) -> None:
@@ -211,26 +166,31 @@ def _check_header(doc, path: Path, expected: str) -> None:
         )
 
 
+def _plain(values) -> list | None:
+    """An option vector or matrix as nested Python floats, or None."""
+    return None if values is None else np.asarray(values, dtype=float).tolist()
+
+
 def _options_to_dict(options: SynthOptions) -> dict:
     return {
-        "m": options.m,
-        "y1": None if options.y1 is None else list(options.y1),
-        "y2": None if options.y2 is None else list(options.y2),
-        "ga1": None if options.ga1 is None else list(options.ga1),
-        "ga2": None if options.ga2 is None else list(options.ga2),
-        "p": None if options.p is None else _matrix_rows(options.p),
-        "rank_tol": options.rank_tol,
+        "m": None if options.m is None else int(options.m),
+        "y1": _plain(options.y1),
+        "y2": _plain(options.y2),
+        "ga1": _plain(options.ga1),
+        "ga2": _plain(options.ga2),
+        "p": _plain(options.p),
+        "rank_tol": float(options.rank_tol),
     }
 
 
 def _options_from_dict(doc: dict, where: str) -> SynthOptions:
     m = doc.get("m")
-    if m is not None and (isinstance(m, bool) or not isinstance(m, int)):
+    if m is not None and type(m) is not int:
         raise ValidationError(f"{where}: field 'm' must be an integer or null")
     p_raw = doc.get("p")
     p = None if p_raw is None else _as_matrix(p_raw, "p", where)
     rank_tol = doc.get("rank_tol", 1e-10)
-    if isinstance(rank_tol, bool) or not isinstance(rank_tol, (int, float)):
+    if type(rank_tol) not in _NUMBER_TYPES:
         raise ValidationError(f"{where}: field 'rank_tol' must be a number")
     try:
         return SynthOptions(
@@ -240,7 +200,7 @@ def _options_from_dict(doc: dict, where: str) -> SynthOptions:
             ga1=_as_vector(doc.get("ga1"), "ga1", where),
             ga2=_as_vector(doc.get("ga2"), "ga2", where),
             p=p,
-            rank_tol=float(rank_tol),
+            rank_tol=float(_floats(rank_tol, "rank_tol", where)),
         )
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -253,13 +213,13 @@ def problem_to_dict(problem: Problem) -> dict:
         "format_version": FORMAT_VERSION,
         "n_a": di.sys_a.n,
         "n_b": di.sys_b.n,
-        "r_bar_a": _matrix_rows(di.sys_a.r),
-        "r_bar_b": _matrix_rows(di.sys_b.r),
-        "r_ab": _matrix_rows(di.r_ab),
-        "c_bar_a": _matrix_rows(di.sys_a.c),
-        "d_bar_a": _matrix_rows(di.sys_a.d),
-        "c_bar_b": _matrix_rows(di.sys_b.c),
-        "d_bar_b": _matrix_rows(di.sys_b.d),
+        "r_bar_a": di.sys_a.r.tolist(),
+        "r_bar_b": di.sys_b.r.tolist(),
+        "r_ab": di.r_ab.tolist(),
+        "c_bar_a": di.sys_a.c.tolist(),
+        "d_bar_a": di.sys_a.d.tolist(),
+        "c_bar_b": di.sys_b.c.tolist(),
+        "d_bar_b": di.sys_b.d.tolist(),
         "options": _options_to_dict(problem.options),
     }
 
@@ -280,10 +240,7 @@ def _system_from_doc(
         raise ValidationError(f"{where}: '{n_key}' must be positive")
     r = _as_matrix(_get(doc, r_key, where), r_key, where, cols=2 * n)
     c = _as_matrix(_get(doc, c_key, where), c_key, where, cols=2 * n)
-    d_cols = c.shape[0] if c.shape[0] else None
-    d = _as_matrix(_get(doc, d_key, where), d_key, where, cols=d_cols)
-    if d.size == 0:
-        d = np.zeros((0, 0))
+    d = _as_matrix(_get(doc, d_key, where), d_key, where, cols=c.shape[0])
     try:
         return LqssParams(n=n, r=r, c=c, d=d)
     except ValidationError as exc:
@@ -345,13 +302,13 @@ def report_to_dict(
     return {
         "format": REPORT_FORMAT,
         "format_version": FORMAT_VERSION,
-        "m": realization.m,
-        "c_a": _matrix_rows(realization.c_a),
-        "c_b": _matrix_rows(realization.c_b),
-        "x": _matrix_rows(realization.x),
-        "sigma": _matrix_rows(realization.sigma),
-        "r_a": _matrix_rows(realization.r_a),
-        "r_b": _matrix_rows(realization.r_b),
+        "m": int(realization.m),
+        "c_a": realization.c_a.tolist(),
+        "c_b": realization.c_b.tolist(),
+        "x": realization.x.tolist(),
+        "sigma": realization.sigma.tolist(),
+        "r_a": realization.r_a.tolist(),
+        "r_b": realization.r_b.tolist(),
         "verification": _verification_to_dict(report),
         "provenance": provenance,
     }
@@ -391,9 +348,9 @@ def save_trajectory(traj: MomentTrajectory, path) -> None:
     doc = {
         "format": TRAJECTORY_FORMAT,
         "format_version": FORMAT_VERSION,
-        "times": [float(t) for t in traj.times],
-        "means": _matrix_rows(traj.means),
-        "covariances": [_matrix_rows(cov) for cov in traj.covariances],
+        "times": traj.times.tolist(),
+        "means": traj.means.tolist(),
+        "covariances": traj.covariances.tolist(),
     }
     Path(path).write_text(_dumps(doc))
 
@@ -413,28 +370,14 @@ def load_report(path) -> ReportDoc:
     m = _as_int(doc, "m", where)
     if m < 0:
         raise ValidationError(f"{where}: 'm' must be nonnegative")
-    width = 2 * m
-    c_a = _as_matrix(_get(doc, "c_a", where), "c_a", where)
-    c_b = _as_matrix(_get(doc, "c_b", where), "c_b", where)
-    x = _as_matrix(_get(doc, "x", where), "x", where, cols=width or None)
-    sigma = _as_matrix(_get(doc, "sigma", where), "sigma", where, cols=width or None)
-    if width == 0:
-        x = np.zeros((0, 0))
-        sigma = np.zeros((0, 0))
-    # An empty coupling serializes as [] and loses its column count; the
-    # square Hamiltonian matrix restores it.
-    r_a = _as_matrix(
-        _get(doc, "r_a", where), "r_a", where,
-        cols=c_a.shape[1] if c_a.shape[0] else None,
-    )
-    r_b = _as_matrix(
-        _get(doc, "r_b", where), "r_b", where,
-        cols=c_b.shape[1] if c_b.shape[0] else None,
-    )
-    if c_a.shape[0] == 0:
-        c_a = np.zeros((0, r_a.shape[1]))
-    if c_b.shape[0] == 0:
-        c_b = np.zeros((0, r_b.shape[1]))
+    # An empty matrix is written as [] and loses its column count; r_a, r_b
+    # and m restore it.
+    r_a = _as_matrix(_get(doc, "r_a", where), "r_a", where)
+    r_b = _as_matrix(_get(doc, "r_b", where), "r_b", where)
+    c_a = _as_matrix(_get(doc, "c_a", where), "c_a", where, cols=r_a.shape[1])
+    c_b = _as_matrix(_get(doc, "c_b", where), "c_b", where, cols=r_b.shape[1])
+    x = _as_matrix(_get(doc, "x", where), "x", where, cols=2 * m)
+    sigma = _as_matrix(_get(doc, "sigma", where), "sigma", where, cols=2 * m)
     verification = doc.get("verification", {})
     provenance = doc.get("provenance", {})
     if not isinstance(verification, dict):

@@ -23,7 +23,6 @@ from .symcore import (
     guarded_solve,
     is_sharp_skew,
     j_times,
-    jmat,
     max_abs,
     sharp,
     symmetry_defect,
@@ -422,7 +421,5 @@ def realizability_defect(params: LqssParams) -> float:
     corrupted.
     """
     dyn = system_dynamics(params)
-    j_state = jmat(params.n)
-    j_ports = jmat(params.n_ports)
-    res = dyn.a @ j_state + j_state @ dyn.a.T + dyn.b_ext @ j_ports @ dyn.b_ext.T
-    return max_abs(res)
+    s = j_times(dyn.a.T)  # s = J a.T, so -s.T = a J
+    return max_abs(s - s.T + dyn.b_ext @ j_times(dyn.b_ext.T))

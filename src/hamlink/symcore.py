@@ -126,9 +126,12 @@ def symplectic_defect(t) -> float:
         raise ValidationError(
             f"symplectic test needs a square matrix, got shape {arr.shape}"
         )
-    if arr.shape[0] == 0:
-        return 0.0
-    return max_abs(arr @ j_times(arr.T) - jmat(arr.shape[0] // 2))
+    res = arr @ j_times(arr.T)
+    half = arr.shape[0] // 2
+    k = np.arange(half)
+    res[k, k + half] -= 1.0  # minus J, one identity block at a time
+    res[k + half, k] += 1.0
+    return max_abs(res)
 
 
 def is_symplectic(t, tol: float = 1e-10) -> bool:
@@ -176,19 +179,23 @@ def guarded_solve(w: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(w, rhs)
 
 
-def cayley_sigma_from_x(x, skew_tol: float = 1e-9) -> np.ndarray:
+# Relative J-skew and symplectic defects the Cayley maps accept.
+_CAYLEY_TOL = 1e-9
+
+
+def cayley_sigma_from_x(x) -> np.ndarray:
     """Map a J-skew matrix X to the symplectic gain (X - I)(X + I)^-1.
 
-    The input must be J-skew within skew_tol; the output is then real
-    symplectic and has no eigenvalue at one.  Raises AlgebraicLoopError when
-    X + I is singular or nearly so, which happens exactly when X has an
-    eigenvalue at minus one.
+    The input must be J-skew to a relative defect of 1e-9; the output is
+    then real symplectic and has no eigenvalue at one.  Raises
+    AlgebraicLoopError when X + I is singular or nearly so, which happens
+    exactly when X has an eigenvalue at minus one.
     """
     arr = as_even_matrix(x, "cayley input")
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"cayley input must be square, got {arr.shape}")
     defect = sharp_skew_defect(arr)
-    if defect > skew_tol * max(1.0, max_abs(arr)):
+    if defect > _CAYLEY_TOL * max(1.0, max_abs(arr)):
         raise ValidationError(
             f"cayley input is not J-skew (defect {defect:.3e})"
         )
@@ -201,7 +208,7 @@ def cayley_sigma_from_x(x, skew_tol: float = 1e-9) -> np.ndarray:
     return guarded_solve((arr + eye).T, (arr - eye).T, "X + I").T
 
 
-def cayley_x_from_sigma(sigma, symp_tol: float = 1e-9) -> np.ndarray:
+def cayley_x_from_sigma(sigma) -> np.ndarray:
     """Invert the Cayley map: X = (I + S)(I - S)^-1 for symplectic S.
 
     Raises AlgebraicLoopError when S has an eigenvalue at one, in which case
@@ -213,7 +220,7 @@ def cayley_x_from_sigma(sigma, symp_tol: float = 1e-9) -> np.ndarray:
             f"cayley inverse input must be square, got {arr.shape}"
         )
     defect = symplectic_defect(arr)
-    if defect > symp_tol * max(1.0, max_abs(arr)) ** 2:
+    if defect > _CAYLEY_TOL * max(1.0, max_abs(arr)) ** 2:
         raise ValidationError(
             f"cayley inverse input is not symplectic (defect {defect:.3e})"
         )

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _PARAM_TINY = 1e-12
+# Relative J-skew defect of x that hamiltonian_corrections accepts.
+_SKEW_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +204,7 @@ def transpose_coupling_identity_check(c_a, c_b, x) -> float:
     return max_abs(fwd.T - back)
 
 
-def hamiltonian_corrections(r_bar, c, x, skew_tol: float = 1e-9) -> np.ndarray:
+def hamiltonian_corrections(r_bar, c, x) -> np.ndarray:
     """Corrected Hamiltonian matrix r_bar - (1/2) J (c# x c).
 
     The correction cancels the Hamiltonian contribution that the loop field
@@ -223,7 +225,7 @@ def hamiltonian_corrections(r_bar, c, x, skew_tol: float = 1e-9) -> np.ndarray:
         raise ValidationError(
             f"x must be {c.shape[0]} x {c.shape[0]}, got {x.shape}"
         )
-    if not is_sharp_skew(x, skew_tol * max(1.0, max_abs(x))):
+    if not is_sharp_skew(x, _SKEW_TOL * max(1.0, max_abs(x))):
         raise ValidationError("loop matrix x must be J-skew")
     out = r_bar - 0.5 * j_times(sharp(c) @ x @ c)
     return 0.5 * (out + out.T)

@@ -159,6 +159,19 @@ class TestSynth:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("field", ["r_ab", "y1"])
+    def test_integer_too_large_for_a_float_is_exit_1(self, demo_paths, capsys, field):
+        problem, _ = demo_paths
+        doc = json.loads(problem.read_text())
+        if field == "r_ab":
+            doc["r_ab"][0][0] = 10**400
+        else:
+            doc["options"]["y1"] = [10**400, 1]
+        problem.write_text(json.dumps(doc))
+        code, _, err = run(["synth", str(problem)], capsys)
+        assert code == 1
+        assert f"'{field}' has an integer too large for a float" in err
+
     def test_malformed_file_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "hamlink-problem", "format_version": 1}')

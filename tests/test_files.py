@@ -20,8 +20,9 @@ from hamlink import (
     save_report,
     synthesize,
 )
-from hamlink.files import make_provenance
+from hamlink.files import make_provenance, save_trajectory
 from hamlink.lqss import DirectInteraction, LqssParams
+from hamlink.verify import MomentTrajectory
 
 
 def awkward_problem():
@@ -158,6 +159,116 @@ class TestReportRoundTrip:
             report_to_json(fr, broken, provenance)
 
 
+# A problem document as the 17-significant-digit writer of format_version 1
+# printed it: integers written like 4, negative zeros as -0.0, one row per line.
+SEVENTEEN_DIGIT_PROBLEM = """{
+  "format": "hamlink-problem",
+  "format_version": 1,
+  "n_a": 1,
+  "n_b": 1,
+  "r_bar_a": [
+    [4, 0.33333333333333331],
+    [0.33333333333333331, -0.0]
+  ],
+  "r_bar_b": [
+    [1, 0],
+    [0, 2.5]
+  ],
+  "r_ab": [
+    [0.69999999999999996, -0.0],
+    [3, 0.66666666666666663]
+  ],
+  "c_bar_a": [
+    [0.10000000000000001, -0.0],
+    [2, 1.0000000000000002]
+  ],
+  "d_bar_a": [
+    [1, 0],
+    [0, 1]
+  ],
+  "c_bar_b": [],
+  "d_bar_b": [],
+  "options": {
+    "m": null,
+    "y1": [0.69999999999999996],
+    "y2": [-0.0],
+    "ga1": null,
+    "ga2": null,
+    "p": null,
+    "rank_tol": 1.0000000000000001e-09
+  }
+}
+"""
+
+
+def assert_bit_identical(ours, back):
+    assert np.array_equal(ours, back)
+    assert np.array_equal(np.signbit(ours), np.signbit(back))
+
+
+class TestSeventeenDigitDocuments:
+    def load(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(SEVENTEEN_DIGIT_PROBLEM)
+        return load_problem(path)
+
+    def test_loads_to_the_same_arrays(self, tmp_path):
+        problem = self.load(tmp_path)
+        di = problem.interaction
+        assert_bit_identical(di.sys_a.r, np.array([[4.0, 1 / 3], [1 / 3, -0.0]]))
+        assert_bit_identical(di.sys_b.r, np.array([[1.0, 0.0], [0.0, 2.5]]))
+        assert_bit_identical(di.r_ab, np.array([[0.7, -0.0], [3.0, 2 / 3]]))
+        assert_bit_identical(
+            di.sys_a.c, np.array([[0.1, -0.0], [2.0, 1.0 + 2.0**-52]])
+        )
+        assert_bit_identical(di.sys_a.d, np.eye(2))
+        assert di.sys_b.c.shape == (0, 2)
+        assert di.sys_b.d.shape == (0, 0)
+        options = problem.options
+        assert options.y1 == (0.7,)
+        assert options.y2 == (-0.0,) and np.signbit(options.y2[0])
+        assert options.rank_tol == 1e-9
+
+    def test_rewritten_document_reloads_bit_identically(self, tmp_path):
+        old = self.load(tmp_path)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_problem(old, first)
+        new = load_problem(first)
+        for side in ("sys_a", "sys_b"):
+            for field in ("r", "c", "d"):
+                assert_bit_identical(
+                    getattr(getattr(old.interaction, side), field),
+                    getattr(getattr(new.interaction, side), field),
+                )
+        assert_bit_identical(old.interaction.r_ab, new.interaction.r_ab)
+        assert np.signbit(new.options.y2[0])
+        save_problem(new, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert first.read_text() != SEVENTEEN_DIGIT_PROBLEM
+        assert "0.7," in first.read_text() and "-0.0" in first.read_text()
+
+
+class TestNonFiniteWrites:
+    MESSAGE = "documents cannot contain non-finite numbers"
+
+    def test_save_problem_refuses_nan(self, tmp_path):
+        problem = Problem(
+            interaction=demo_problem().interaction,
+            options=SynthOptions(y1=(float("nan"), 1.0)),
+        )
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            save_problem(problem, tmp_path / "p.json")
+
+    def test_save_trajectory_refuses_nan(self, tmp_path):
+        traj = MomentTrajectory(
+            times=np.array([0.0, 0.1]),
+            means=np.array([[0.0, 0.0], [float("nan"), 0.0]]),
+            covariances=np.zeros((2, 2, 2)),
+        )
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            save_trajectory(traj, tmp_path / "t.json")
+
+
 class TestLoaderDiagnostics:
     def write(self, tmp_path, mutate):
         doc = json.loads(problem_to_json(demo_problem()))
@@ -180,11 +291,32 @@ class TestLoaderDiagnostics:
             load_problem(path)
 
     def test_non_number_entry_is_located(self, tmp_path):
-        def poison(d):
-            d["r_ab"][0][1] = "zero"
+        for entry in ("zero", "1.5", True, None, [1.0], {}):
+            def poison(d):
+                d["r_ab"][0][1] = entry
 
-        path = self.write(tmp_path, poison)
-        with pytest.raises(ValidationError, match=r"entry \(0, 1\)"):
+            path = self.write(tmp_path, poison)
+            with pytest.raises(ValidationError, match=r"'r_ab' entry \(0, 1\) is not"):
+                load_problem(path)
+
+    def test_non_number_option_entry_is_located(self, tmp_path):
+        for entry in ("1.5", True, None):
+            path = self.write(tmp_path, lambda d: d["options"].update(y1=[1.0, entry]))
+            with pytest.raises(ValidationError, match="'y1' entry 1 is not a number"):
+                load_problem(path)
+
+    @pytest.mark.parametrize(
+        "field,mutate",
+        [
+            ("r_ab", lambda d: d["r_ab"][1].__setitem__(2, 10**400)),
+            ("y1", lambda d: d["options"].update(y1=[1.0, -(10**400)])),
+            ("rank_tol", lambda d: d["options"].update(rank_tol=10**400)),
+        ],
+        ids=["r_ab", "y1", "rank_tol"],
+    )
+    def test_integer_too_large_for_a_float_is_named(self, tmp_path, field, mutate):
+        path = self.write(tmp_path, mutate)
+        with pytest.raises(ValidationError, match=f"'{field}' has an integer too large"):
             load_problem(path)
 
     def test_wrong_column_count(self, tmp_path):
@@ -250,4 +382,14 @@ class TestLoaderDiagnostics:
         doc["x"] = doc["x"][:2]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
+            load_report(path)
+
+    def test_report_with_no_channels_refuses_a_loop_matrix(self, tmp_path):
+        fr, report, _ = TestReportRoundTrip().make_report(tmp_path)
+        path = tmp_path / "r.json"
+        save_report(fr, report, {"tool": "hamlink"}, path)
+        doc = json.loads(path.read_text())
+        doc.update(m=0, c_a=[], c_b=[])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="'x' has 4 columns, expected 0"):
             load_report(path)

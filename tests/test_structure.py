@@ -1,4 +1,5 @@
-"""Package structure: modules share only public names with each other."""
+"""Package structure: modules share only public names with each other, and
+no module multiplies by a dense J."""
 
 import ast
 from pathlib import Path
@@ -42,5 +43,37 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         path.name: names
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if (names := private_sibling_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def jmat_calls(source: str) -> list[int]:
+    """Line numbers of calls to jmat, by bare or attribute name."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "jmat"
+    ]
+
+
+def test_detector_sees_jmat_calls():
+    source = (
+        "from .symcore import jmat\n"
+        "j = jmat(2)\n"
+        "k = symcore.jmat(n)\n"
+        "def jmat(k):\n"
+        "    return k\n"
+    )
+    assert jmat_calls(source) == [2, 3]
+
+
+def test_no_module_forms_a_dense_j():
+    # J acts through its block structure (symcore.j_times, symcore.sharp);
+    # jmat is for callers outside the package.
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := jmat_calls(path.read_text()))
     }
     assert offenders == {}
