@@ -25,7 +25,6 @@ from .symcore import (
     build_partition_permutation,
     cayley_sigma_from_x,
     cayley_x_from_sigma,
-    coupling_to_quadrature,
     is_sharp_skew,
     is_symplectic,
     jmat,
@@ -39,13 +38,10 @@ from .lqss import (
     DirectInteraction,
     LinearDynamics,
     LqssParams,
-    PartitionedPorts,
     TwoPortLqss,
     direct_dynamics,
     feedback_closed_loop,
-    partitioned_form,
     realizability_defect,
-    skew_form_closed_loop,
     system_dynamics,
 )
 from .synth import (
@@ -55,7 +51,6 @@ from .synth import (
     hamiltonian_corrections,
     min_channels,
     synthesize,
-    transpose_coupling_identity_check,
 )
 from .verify import (
     EquivalenceReport,
@@ -95,25 +90,20 @@ __all__ = [
     "cayley_x_from_sigma",
     "build_partition_permutation",
     "unitary_to_quadrature",
-    "coupling_to_quadrature",
     "SpecialSvd",
     "special_svd",
     "LqssParams",
     "TwoPortLqss",
     "DirectInteraction",
     "LinearDynamics",
-    "PartitionedPorts",
     "system_dynamics",
     "direct_dynamics",
     "feedback_closed_loop",
-    "skew_form_closed_loop",
-    "partitioned_form",
     "realizability_defect",
     "SynthOptions",
     "FeedbackRealization",
     "min_channels",
     "coupling_relation_residual",
-    "transpose_coupling_identity_check",
     "hamiltonian_corrections",
     "synthesize",
     "EquivalenceReport",

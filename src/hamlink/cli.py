@@ -42,7 +42,7 @@ from .files import (
 )
 from .lqss import direct_dynamics
 from .symcore import max_abs, special_svd
-from .synth import SynthOptions, min_channels, synthesize
+from .synth import SynthOptions, synthesize
 from .verify import (
     check_equivalence,
     closed_loop_dynamics,
@@ -219,7 +219,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     svd = special_svd(di.r_ab)
     realization = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
     print("expected outcomes when synthesizing this problem:")
-    print(f"  minimum channel count: {min_channels(di.r_ab)}")
+    print(f"  minimum channel count: {(svd.rank + 1) // 2}")
     with np.printoptions(precision=4, suppress=True):
         print(f"  coupling block diagonals: {svd.block1_diag()} "
               f"and {svd.block2_diag()}")

@@ -19,9 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .symcore import (
     as_even_matrix,
-    build_partition_permutation,
     guarded_solve,
-    is_sharp_skew,
     j_times,
     max_abs,
     sharp,
@@ -34,12 +32,9 @@ __all__ = [
     "TwoPortLqss",
     "DirectInteraction",
     "LinearDynamics",
-    "PartitionedPorts",
     "system_dynamics",
     "direct_dynamics",
     "feedback_closed_loop",
-    "skew_form_closed_loop",
-    "partitioned_form",
     "realizability_defect",
 ]
 
@@ -170,40 +165,20 @@ class DirectInteraction:
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """State-space realization dx = a x dt + b_ext dU, dY = c_ext x dt + d_ext dU."""
+    """State-space realization dx = a x dt + b_ext dU, dY = c_ext x dt + d_ext dU.
+
+    A plain record: the package builds it from validated systems, and
+    simulate_moments checks the a and b_ext it integrates.
+    """
 
     a: np.ndarray
     b_ext: np.ndarray
     c_ext: np.ndarray
     d_ext: np.ndarray
 
-    def __post_init__(self):
-        a = as_even_matrix(self.a, "a")
-        b = as_even_matrix(self.b_ext, "b_ext")
-        c = as_even_matrix(self.c_ext, "c_ext")
-        d = as_even_matrix(self.d_ext, "d_ext")
-        if a.shape[0] != a.shape[1]:
-            raise ValidationError(f"a must be square, got {a.shape}")
-        if b.shape[0] != a.shape[0]:
-            raise ValidationError(
-                f"b_ext must have {a.shape[0]} rows, got {b.shape[0]}"
-            )
-        if c.shape[1] != a.shape[0]:
-            raise ValidationError(
-                f"c_ext must have {a.shape[0]} columns, got {c.shape[1]}"
-            )
-        if d.shape != (c.shape[0], b.shape[1]):
-            raise ValidationError(
-                f"d_ext must be {c.shape[0]} x {b.shape[1]}, got {d.shape}"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b_ext", b)
-        object.__setattr__(self, "c_ext", c)
-        object.__setattr__(self, "d_ext", d)
-
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return len(self.a)
 
 
 def _drift(r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -316,29 +291,6 @@ def skew_closed_loop_drift(
     return np.block([[blk_aa, blk_ab], [blk_ba, blk_bb]])
 
 
-def _close_loop(
-    sys_a: TwoPortLqss, sys_b: TwoPortLqss, loop: np.ndarray, name: str, drift
-) -> LinearDynamics:
-    """Check the loop matrix against both systems' ports, then assemble."""
-    width = sys_a.c.shape[0]
-    if sys_b.c.shape[0] != width:
-        raise ValidationError(
-            f"interconnection port counts differ: "
-            f"{sys_a.n_loop} versus {sys_b.n_loop}"
-        )
-    if loop.shape != (width, width):
-        raise ValidationError(
-            f"{name} must be {width} x {width}, got {loop.shape}"
-        )
-    a = drift(
-        sys_a.r, sys_a.c_bar, sys_a.c, sys_b.r, sys_b.c_bar, sys_b.c, loop
-    )
-    b_ext, c_ext, d_ext = external_io(
-        sys_a.c_bar, sys_a.d_bar, sys_b.c_bar, sys_b.d_bar
-    )
-    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
-
-
 def feedback_closed_loop(
     sys_a: TwoPortLqss,
     sys_b: TwoPortLqss,
@@ -354,61 +306,23 @@ def feedback_closed_loop(
     involve only the external couplings and gains.
     """
     sigma = as_even_matrix(sigma, "sigma")
-    return _close_loop(sys_a, sys_b, sigma, "sigma", closed_loop_drift)
-
-
-def skew_form_closed_loop(
-    sys_a: TwoPortLqss,
-    sys_b: TwoPortLqss,
-    x,
-) -> LinearDynamics:
-    """Closed loop assembled directly from the J-skew loop matrix.
-
-    Independent of feedback_closed_loop: no loop solve is performed.  x must
-    be J-skew for the result to describe a physical interconnection.
-    """
-    x = as_even_matrix(x, "x")
-    if not is_sharp_skew(x, 1e-9 * max(1.0, max_abs(x))):
-        raise ValidationError("loop matrix x must be J-skew")
-    return _close_loop(sys_a, sys_b, x, "x", skew_closed_loop_drift)
-
-
-@dataclass(frozen=True)
-class PartitionedPorts:
-    """Coupling and gain of one system split into two port groups."""
-
-    c_a: np.ndarray
-    c_b: np.ndarray
-    d_aa: np.ndarray
-    d_ab: np.ndarray
-    d_ba: np.ndarray
-    d_bb: np.ndarray
-
-
-def partitioned_form(params: LqssParams, m_a: int, m_b: int) -> PartitionedPorts:
-    """Split a system's ports into leading and trailing channel groups.
-
-    Channels 1..m_a form the first group, the remaining m_b the second.
-    The split conjugates c and d by the regrouping permutation, so each
-    group's blocks are again valid quadrature-ordered matrices.
-    """
-    if m_a + m_b != params.n_ports:
+    width = sys_a.c.shape[0]
+    if sys_b.c.shape[0] != width:
         raise ValidationError(
-            f"group sizes ({m_a}, {m_b}) must sum to the port count "
-            f"{params.n_ports}"
+            f"interconnection port counts differ: "
+            f"{sys_a.n_loop} versus {sys_b.n_loop}"
         )
-    perm = build_partition_permutation(m_a, m_b)
-    c_hat = perm @ params.c
-    d_hat = perm @ params.d @ perm.T
-    wa = 2 * m_a
-    return PartitionedPorts(
-        c_a=c_hat[:wa],
-        c_b=c_hat[wa:],
-        d_aa=d_hat[:wa, :wa],
-        d_ab=d_hat[:wa, wa:],
-        d_ba=d_hat[wa:, :wa],
-        d_bb=d_hat[wa:, wa:],
+    if sigma.shape != (width, width):
+        raise ValidationError(
+            f"sigma must be {width} x {width}, got {sigma.shape}"
+        )
+    a = closed_loop_drift(
+        sys_a.r, sys_a.c_bar, sys_a.c, sys_b.r, sys_b.c_bar, sys_b.c, sigma
     )
+    b_ext, c_ext, d_ext = external_io(
+        sys_a.c_bar, sys_a.d_bar, sys_b.c_bar, sys_b.d_bar
+    )
+    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
 def realizability_defect(params: LqssParams) -> float:

@@ -5,9 +5,9 @@ A system of k canonical mode or field pairs is described in the real basis
 skew form J = [[0, I], [-I, 0]].  This module implements the calculus built
 on that form: the J-adjoint that plays the role of the conjugate transpose,
 symplectic and J-skew predicates, the Cayley map between J-skew matrices
-and symplectic gains, quadrature embeddings of complex scattering and
-coupling data, the permutation that regroups stacked quadratures into port
-groups, and a block-diagonal variant of the SVD used by channel synthesis.
+and symplectic gains, the quadrature embedding of a complex scattering
+matrix, the permutation that regroups stacked quadratures into port groups,
+and a block-diagonal variant of the SVD used by channel synthesis.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "cayley_x_from_sigma",
     "build_partition_permutation",
     "unitary_to_quadrature",
-    "coupling_to_quadrature",
     "SpecialSvd",
     "special_svd",
 ]
@@ -194,7 +193,7 @@ def cayley_sigma_from_x(x) -> np.ndarray:
     arr = as_even_matrix(x, "cayley input")
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"cayley input must be square, got {arr.shape}")
-    defect = sharp_skew_defect(arr)
+    defect = max_abs(arr + sharp(arr))
     if defect > _CAYLEY_TOL * max(1.0, max_abs(arr)):
         raise ValidationError(
             f"cayley input is not J-skew (defect {defect:.3e})"
@@ -283,34 +282,6 @@ def unitary_to_quadrature(s, tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def coupling_to_quadrature(l_q, l_p) -> np.ndarray:
-    """Embed complex coupling blocks into a real quadrature coupling matrix.
-
-    l_q and l_p are the m x n complex couplings of the fields to the
-    position-like and momentum-like quadratures.  The result is the
-    2m x 2n real matrix [[2 Re l_q, 2 Re l_p], [2 Im l_q, 2 Im l_p]].
-    """
-    lq = np.asarray(l_q, dtype=complex)
-    lp = np.asarray(l_p, dtype=complex)
-    if lq.ndim != 2 or lp.ndim != 2:
-        raise ValidationError("coupling blocks must be 2-d")
-    if lq.shape != lp.shape:
-        raise ValidationError(
-            f"coupling blocks must share a shape, got {lq.shape} and {lp.shape}"
-        )
-    if (lq.size and not np.all(np.isfinite(lq))) or (
-        lp.size and not np.all(np.isfinite(lp))
-    ):
-        raise ValidationError("coupling blocks contain non-finite entries")
-    m, n = lq.shape
-    out = np.zeros((2 * m, 2 * n))
-    out[:m, :n] = 2 * lq.real
-    out[:m, n:] = 2 * lp.real
-    out[m:, :n] = 2 * lq.imag
-    out[m:, n:] = 2 * lp.imag
-    return out
-
-
 @dataclass(frozen=True)
 class SpecialSvd:
     """Orthogonal factorization A = u @ t @ v.T with block-diagonal t.
@@ -326,50 +297,22 @@ class SpecialSvd:
     Attributes:
         u, t, v: the factors.
         rank: number of singular values above the relative threshold.
-        nullity_split: zeros on (block one, block two) diagonals, counting
-            only the min(r, s) slots each block offers.
-        row_order, col_order: permutations taking ordinary SVD factors to
-            u and v; column i of the ordinary factor lands at column
-            row_order[i] of u (col_order[i] of v).
     """
 
     u: np.ndarray
     t: np.ndarray
     v: np.ndarray
     rank: int
-    nullity_split: tuple[int, int]
-    row_order: np.ndarray
-    col_order: np.ndarray
 
     def block1_diag(self) -> np.ndarray:
         """Diagonal of the upper-left sub-block of t."""
-        r = self.t.shape[0] // 2
-        s = self.t.shape[1] // 2
-        q = min(r, s)
-        return np.array([self.t[i, i] for i in range(q)])
+        r, s = self.t.shape[0] // 2, self.t.shape[1] // 2
+        return np.diagonal(self.t[:r, :s])
 
     def block2_diag(self) -> np.ndarray:
         """Diagonal of the lower-right sub-block of t."""
-        r = self.t.shape[0] // 2
-        s = self.t.shape[1] // 2
-        q = min(r, s)
-        return np.array([self.t[r + i, s + i] for i in range(q)])
-
-    def permutation_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize (P_row, P_col) with t = P_row @ t_plain @ P_col.
-
-        t_plain is the ordinary rectangular diag(singular values), with the
-        sub-threshold values flushed to zero.
-        """
-        two_r = self.t.shape[0]
-        two_s = self.t.shape[1]
-        p_row = np.zeros((two_r, two_r))
-        p_col = np.zeros((two_s, two_s))
-        for i, target in enumerate(self.row_order):
-            p_row[target, i] = 1.0
-        for i, target in enumerate(self.col_order):
-            p_col[i, target] = 1.0
-        return p_row, p_col
+        r, s = self.t.shape[0] // 2, self.t.shape[1] // 2
+        return np.diagonal(self.t[r:, s:])
 
 
 def special_svd(a, rank_tol: float = 1e-10) -> SpecialSvd:
@@ -394,13 +337,7 @@ def special_svd(a, rank_tol: float = 1e-10) -> SpecialSvd:
 
     if d == 0:
         return SpecialSvd(
-            u=np.eye(two_r),
-            t=np.zeros((two_r, two_s)),
-            v=np.eye(two_s),
-            rank=0,
-            nullity_split=(0, 0),
-            row_order=np.arange(two_r),
-            col_order=np.arange(two_s),
+            u=np.eye(two_r), t=np.zeros((two_r, two_s)), v=np.eye(two_s), rank=0
         )
 
     u_plain, sing, vt_plain = np.linalg.svd(arr)
@@ -448,12 +385,4 @@ def special_svd(a, rank_tol: float = 1e-10) -> SpecialSvd:
     v = np.empty((two_s, two_s))
     v[:, col_order] = vt_plain.T
 
-    return SpecialSvd(
-        u=u,
-        t=t,
-        v=v,
-        rank=rank,
-        nullity_split=(z1, z2),
-        row_order=row_order,
-        col_order=col_order,
-    )
+    return SpecialSvd(u=u, t=t, v=v, rank=rank)

@@ -24,7 +24,13 @@ from .lqss import (
     external_io,
     skew_closed_loop_drift,
 )
-from .symcore import max_abs, sharp_skew_defect, symmetry_defect, symplectic_defect
+from .symcore import (
+    as_even_matrix,
+    max_abs,
+    sharp_skew_defect,
+    symmetry_defect,
+    symplectic_defect,
+)
 from .synth import FeedbackRealization, coupling_relation_residual
 
 __all__ = [
@@ -44,6 +50,10 @@ _COMPARE_BLOCK_ROWS = 256
 # Integration steps between finiteness checks: a diverging run stops within
 # this many steps of its first overflow instead of at the end of its grid.
 _DIVERGENCE_CHECK_STEPS = 64
+# Largest trajectory simulate_moments stores, in floats: (n_steps + 1)
+# samples of a time, a mean and a covariance, 1 + dim * (dim + 1) floats
+# each.  2**27 floats are 1 GiB, and a trajectory comparison holds two.
+_MAX_TRAJECTORY_FLOATS = 2**27
 
 
 @dataclass(frozen=True)
@@ -177,25 +187,15 @@ def closed_loop_dynamics(
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Mean and covariance samples on a uniform time grid."""
+    """Mean and covariance samples on a uniform time grid.
+
+    A plain record of the arrays simulate_moments fills: times (n,), means
+    (n, dim) and covariances (n, dim, dim).
+    """
 
     times: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        mu = np.asarray(self.means, dtype=float)
-        cov = np.asarray(self.covariances, dtype=float)
-        if t.ndim != 1 or mu.ndim != 2 or cov.ndim != 3:
-            raise ValidationError("trajectory arrays have wrong ranks")
-        if not (len(t) == mu.shape[0] == cov.shape[0]):
-            raise ValidationError("trajectory arrays disagree on sample count")
-        if cov.shape[1:] != (mu.shape[1], mu.shape[1]):
-            raise ValidationError("covariance samples have wrong shape")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covariances", cov)
 
 
 def simulate_moments(
@@ -223,18 +223,33 @@ def simulate_moments(
 
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
-    disagree.  Raises DivergenceError with the time of the first non-finite
-    sample when the state leaves floating-point range.
+    disagree.  A grid whose trajectory would exceed 2**27 floats (1 GiB) is
+    refused with ValidationError before anything is allocated.  Raises
+    DivergenceError with the time of the first non-finite sample when the
+    state leaves floating-point range.
     """
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be positive, got {t_final}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be positive, got {dt}")
-    n_steps = max(1, int(round(t_final / dt)))
-
-    a = dynamics.a
-    dim = dynamics.dim
-    q = 0.5 * dynamics.b_ext @ dynamics.b_ext.T
+    a = as_even_matrix(dynamics.a, "a")
+    b_ext = as_even_matrix(dynamics.b_ext, "b_ext")
+    dim = a.shape[0]
+    if a.shape[1] != dim:
+        raise ValidationError(f"a must be square, got {a.shape}")
+    if b_ext.shape[0] != dim:
+        raise ValidationError(f"b_ext must have {dim} rows, got {b_ext.shape[0]}")
+    # Rounded as a float first: t_final / dt can overflow to infinity.
+    steps = max(1.0, float(np.rint(t_final / dt)))
+    sample_floats = 1 + dim * (dim + 1)  # time, mean and covariance
+    if (steps + 1) * sample_floats > _MAX_TRAJECTORY_FLOATS:
+        raise ValidationError(
+            f"t_final / dt = {t_final:g} / {dt:g} gives {steps:.3g} steps; a "
+            f"trajectory at state dimension {dim} holds at most "
+            f"{_MAX_TRAJECTORY_FLOATS // sample_floats - 1} steps"
+        )
+    n_steps = int(steps)
+    q = 0.5 * b_ext @ b_ext.T
 
     if mean0 is None:
         mu = np.zeros(dim)

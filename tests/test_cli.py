@@ -65,6 +65,23 @@ class TestSynth:
         assert code == 2
         assert "at least m=2" in err
 
+    @pytest.mark.parametrize("zero_coupling", [False, True])
+    def test_negative_channel_count_is_exit_1(
+        self, demo_paths, tmp_path, capsys, zero_coupling
+    ):
+        # malformed input, not an infeasible count: with a zero coupling the
+        # bound is m=0, which m=-1 would otherwise fall below
+        problem, _ = demo_paths
+        if zero_coupling:
+            doc = json.loads(problem.read_text())
+            doc["r_ab"] = np.zeros((4, 6)).tolist()
+            problem = tmp_path / "decoupled.json"
+            problem.write_text(json.dumps(doc))
+        code, _, err = run(["synth", str(problem), "--m=-1"], capsys)
+        assert code == 1
+        assert "m must be a nonnegative integer" in err
+        assert not problem.with_suffix(".report.json").exists()
+
     def test_oversized_channel_count_is_exit_1(self, demo_paths, capsys):
         problem, _ = demo_paths
         code, _, err = run(["synth", str(problem), "--m", "3"], capsys)
@@ -304,6 +321,28 @@ class TestSimulate:
         assert len(doc["times"]) == 3
         assert len(doc["means"]) == 3
         assert len(doc["covariances"][0]) == 10
+
+    @pytest.mark.parametrize("t_final", ["1e12", "1e18"])
+    def test_oversized_grid_is_exit_1(self, demo_paths, capsys, t_final):
+        # 1e15 and 1e21 steps: refused before anything is allocated
+        problem, _ = demo_paths
+        code, out, err = run(
+            ["simulate", str(problem), "--t-final", t_final, "--dt", "1e-3"],
+            capsys,
+        )
+        assert code == 1
+        assert "t_final / dt" in err
+        assert out == ""
+
+    def test_oversized_grid_in_verify_is_exit_1(self, demo_paths, capsys):
+        problem, report = demo_paths
+        run(["synth", str(problem)], capsys)
+        code, _, err = run(
+            ["verify", str(problem), str(report), "--simulate", "1e18", "1e-3"],
+            capsys,
+        )
+        assert code == 1
+        assert "t_final / dt" in err
 
     def test_comparison_mode(self, demo_paths, capsys):
         problem, report = demo_paths

@@ -1,10 +1,13 @@
-"""Package structure: modules share only public names with each other, and
-no module multiplies by a dense J."""
+"""Package structure: modules share only public names with each other, no
+module multiplies by a dense J, and inputs are validated once, where they
+enter."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hamlink
+from hamlink import check_equivalence, demo_problem, symcore, synthesize
 
 PACKAGE_DIR = Path(hamlink.__file__).resolve().parent
 
@@ -77,3 +80,33 @@ def test_no_module_forms_a_dense_j():
         if (lines := jmat_calls(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_pipeline_validates_only_its_inputs(monkeypatch):
+    # Count as_even_matrix calls through every module binding of it.  On the
+    # demo, synthesize checks r_bar_a, r_bar_b and r_ab, special_svd and the
+    # Cayley map each check their argument, and FeedbackRealization its six
+    # matrices: 11.  check_equivalence checks only x and sigma for its
+    # structural flags: 2.  The stages in between trust what they are given.
+    di = demo_problem().interaction
+    original = symcore.as_even_matrix
+    names = []
+
+    def counting(x, name="matrix"):
+        names.append(name)
+        return original(x, name)
+
+    bound = [
+        module
+        for key, module in sorted(sys.modules.items())
+        if (key == "hamlink" or key.startswith("hamlink."))
+        and getattr(module, "as_even_matrix", None) is original
+    ]
+    assert symcore in bound
+    for module in bound:
+        monkeypatch.setattr(module, "as_even_matrix", counting)
+
+    fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+    synth_names, names[:] = list(names), []
+    check_equivalence(di, fr)
+    assert (len(synth_names), len(names)) == (11, 2), (synth_names, names)

@@ -23,7 +23,6 @@ from hamlink import (
     min_channels,
     sharp_adjoint,
     synthesize,
-    transpose_coupling_identity_check,
     unitary_to_quadrature,
 )
 from hamlink.lqss import DirectInteraction, LqssParams
@@ -64,7 +63,6 @@ class TestGoldenProblem:
         assert np.max(np.abs(fr.x - (-jmat(2)))) <= 1e-12
         assert np.max(np.abs(fr.sigma - (-jmat(2)))) <= 1e-12
         assert coupling_relation_residual(di.r_ab, fr.c_a, fr.c_b, fr.x) <= 1e-12
-        assert transpose_coupling_identity_check(fr.c_a, fr.c_b, fr.x) <= 1e-10
 
     def test_corrections_cancel_zero_base(self):
         # base Hamiltonians vanish, so the corrections are exactly the
@@ -143,8 +141,20 @@ class TestChannelCountBounds:
 
     def test_negative_m_rejected(self):
         di = demo_problem().interaction
-        with pytest.raises(InfeasibleChannelCountError):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
             synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(m=-1))
+
+    @pytest.mark.parametrize("m", [-1, 1.5, 2.0, "2", True])
+    def test_options_refuse_bad_m(self, m):
+        # refused on construction, so a zero coupling (bound m=0) cannot
+        # turn m=-1 into an infeasible-count error
+        with pytest.raises(ValidationError, match="m must be"):
+            SynthOptions(m=m)
+
+    def test_options_accept_numpy_integer_m(self):
+        di = demo_problem().interaction
+        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(m=np.int64(2)))
+        assert fr.m == 2
 
 
 class TestFreeParameters:
@@ -239,10 +249,6 @@ class TestHamiltonianCorrections:
         assert np.max(np.abs(out - inline)) <= 1e-10 * max(1.0, np.max(np.abs(inline)))
         assert np.array_equal(out, out.T)
 
-    def test_rejects_non_skew_loop_matrix(self):
-        with pytest.raises(ValidationError, match="J-skew"):
-            hamiltonian_corrections(np.zeros((4, 4)), np.ones((2, 4)), np.eye(2))
-
     def test_empty_loop_leaves_base_unchanged(self):
         rng = np.random.default_rng(232)
         r_bar = random_symmetric(rng, 4)
@@ -259,24 +265,6 @@ class TestCouplingIdentities:
         fr_big = synthesize(di.sys_a.r, di.sys_b.r, big)
         assert coupling_relation_residual(big, fr_big.c_a, fr_big.c_b, fr_big.x) <= 1e-12
         assert coupling_relation_residual(di.r_ab, fr.c_a, fr.c_b, fr.x) <= 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="do not match"):
-            coupling_relation_residual(
-                np.zeros((4, 6)), np.ones((4, 6)), np.ones((4, 6)), np.eye(4)
-            )
-        with pytest.raises(ValidationError, match="rows"):
-            coupling_relation_residual(
-                np.zeros((4, 6)), np.ones((2, 4)), np.ones((4, 6)), np.eye(4)
-            )
-
-    def test_transpose_identity_degrades_without_skewness(self):
-        di = demo_problem().interaction
-        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
-        assert transpose_coupling_identity_check(fr.c_a, fr.c_b, fr.x) <= 1e-10
-        bent = fr.x.copy()
-        bent[0, 1] += 1e-3
-        assert transpose_coupling_identity_check(fr.c_a, fr.c_b, bent) > 1e-6
 
 
 class TestInputValidation:

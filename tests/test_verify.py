@@ -314,6 +314,13 @@ class TestSimulateMoments:
         with pytest.raises(ValidationError):
             simulate_moments(dyn, t_final=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("t_final, dt", [(1e12, 1e-3), (1e300, 1e-300)])
+    def test_rejects_oversized_grid(self, t_final, dt):
+        # 1e15 steps, and a step count that overflows to infinity: refused
+        # before any trajectory is allocated
+        with pytest.raises(ValidationError, match="t_final / dt"):
+            simulate_moments(damped_mode(1.0), t_final=t_final, dt=dt)
+
     def test_rejects_bad_initial_moments(self):
         dyn = damped_mode(1.0)
         with pytest.raises(ValidationError, match="mean0"):
@@ -494,6 +501,15 @@ class TestCompareTrajectories:
         residual = compare_moment_trajectories(dyn, dyn, times[-1], 0.01)
         assert residual == pytest.approx(3e-4, rel=1e-9)
         assert len(calls) == 2
+
+    def test_accepts_dynamics_given_as_lists(self):
+        # LinearDynamics stores what it is given; the integrator converts it
+        listed = LinearDynamics(
+            a=[[-1.0, 0.5], [-0.5, -1.0]], b_ext=[[1.0, 0.0], [0.0, 1.0]],
+            c_ext=[[1.0, 0.0], [0.0, 1.0]], d_ext=[[1.0, 0.0], [0.0, 1.0]],
+        )
+        arrays = LinearDynamics(*(np.array(f) for f in dataclasses.astuple(listed)))
+        assert compare_moment_trajectories(listed, arrays, 1.0, 0.1) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimensions"):
