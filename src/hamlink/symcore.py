@@ -198,10 +198,7 @@ def cayley_sigma_from_x(x) -> np.ndarray:
         raise ValidationError(
             f"cayley input is not J-skew (defect {defect:.3e})"
         )
-    n = arr.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    eye = np.eye(n)
+    eye = np.eye(arr.shape[0])
     # (X - I)(X + I)^-1 computed as a transposed solve to avoid an explicit
     # inverse; (X - I) and (X + I)^-1 commute, so the order is immaterial.
     return guarded_solve((arr + eye).T, (arr - eye).T, "X + I").T
@@ -223,10 +220,7 @@ def cayley_x_from_sigma(sigma) -> np.ndarray:
         raise ValidationError(
             f"cayley inverse input is not symplectic (defect {defect:.3e})"
         )
-    n = arr.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    eye = np.eye(n)
+    eye = np.eye(arr.shape[0])
     return guarded_solve((eye - arr).T, (eye + arr).T, "I - sigma").T
 
 
@@ -327,62 +321,41 @@ def special_svd(a, rank_tol: float = 1e-10) -> SpecialSvd:
     as evenly as possible with the extra zero on block two.
 
     The returned factors satisfy u @ t @ v.T == a up to the flushed part,
-    with u and v orthogonal.
+    with u and v orthogonal.  A rank_tol outside [0, 1), NaN included,
+    raises ValidationError.
     """
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValidationError(f"rank_tol must be in [0, 1), got {rank_tol!r}")
     arr = as_even_matrix(a, "special_svd input")
     two_r, two_s = arr.shape
     r, s = two_r // 2, two_s // 2
     q = min(r, s)
-    d = min(two_r, two_s)
 
-    if d == 0:
+    if q == 0:
         return SpecialSvd(
             u=np.eye(two_r), t=np.zeros((two_r, two_s)), v=np.eye(two_s), rank=0
         )
 
     u_plain, sing, vt_plain = np.linalg.svd(arr)
-    smax = float(sing[0])
-    if smax > 0.0:
-        rank = int(np.count_nonzero(sing > rank_tol * smax))
-    else:
-        rank = 0
-
+    rank = int(np.count_nonzero(sing > rank_tol * sing[0])) if sing[0] > 0.0 else 0
     head = (rank + 1) // 2
     tail = rank - head
-    z1 = q - head
-    z2 = q - tail
-    # Target slot for each ordinary-SVD index: nonzero values first, filling
-    # block one then block two, then the leftover zero slots in the same
-    # block order.
-    slots: list[tuple[int, int]] = []
-    slots += [(0, j) for j in range(head)]
-    slots += [(1, j) for j in range(tail)]
-    slots += [(0, head + j) for j in range(z1)]
-    slots += [(1, tail + j) for j in range(z2)]
 
+    def targets(k: int) -> np.ndarray:
+        # Position on a side of size 2k for each ordinary-SVD index: the
+        # nonzero values fill block one then block two, the leftover zero
+        # slots follow in the same block order, and the null directions
+        # beyond the 2q paired slots take the remaining positions.
+        return np.array([
+            *range(head), *range(k, k + tail), *range(head, q),
+            *range(k + tail, k + q), *range(q, k), *range(k + q, 2 * k),
+        ])
+
+    rows, cols = targets(r), targets(s)
     t = np.zeros((two_r, two_s))
-    row_order = np.full(two_r, -1, dtype=int)
-    col_order = np.full(two_s, -1, dtype=int)
-    for i, (blk, j) in enumerate(slots):
-        tr = j if blk == 0 else r + j
-        tc = j if blk == 0 else s + j
-        row_order[i] = tr
-        col_order[i] = tc
-        if i < rank:
-            t[tr, tc] = sing[i]
-
-    # Factor columns beyond the 2q paired slots carry null directions; send
-    # them to the remaining positions in ascending order.
-    if two_r > d:
-        free = sorted(set(range(two_r)) - set(row_order[:d]))
-        row_order[d:] = free
-    if two_s > d:
-        free = sorted(set(range(two_s)) - set(col_order[:d]))
-        col_order[d:] = free
-
+    t[rows[:rank], cols[:rank]] = sing[:rank]
     u = np.empty((two_r, two_r))
-    u[:, row_order] = u_plain
+    u[:, rows] = u_plain
     v = np.empty((two_s, two_s))
-    v[:, col_order] = vt_plain.T
-
+    v[:, cols] = vt_plain.T
     return SpecialSvd(u=u, t=t, v=v, rank=rank)

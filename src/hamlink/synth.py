@@ -182,11 +182,10 @@ def hamiltonian_corrections(r_bar, c, x) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _diag_rect(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    out = np.zeros((rows, cols))
-    k = min(rows, cols, len(values))
-    out[:k, :k][np.diag_indices(k)] = values[:k]
-    return out
+def _check_symmetric(r: np.ndarray, name: str) -> None:
+    defect = symmetry_defect(r)
+    if defect > 1e-12 * max(1.0, max_abs(r)):
+        raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
 
 
 def _resolve_diag(values, name: str, m: int) -> np.ndarray:
@@ -229,10 +228,8 @@ def synthesize(
         raise ValidationError(f"r_bar_a must be square, got {r_bar_a.shape}")
     if r_bar_b.shape[0] != r_bar_b.shape[1]:
         raise ValidationError(f"r_bar_b must be square, got {r_bar_b.shape}")
-    for name, r in (("r_bar_a", r_bar_a), ("r_bar_b", r_bar_b)):
-        defect = symmetry_defect(r)
-        if defect > 1e-12 * max(1.0, max_abs(r)):
-            raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
+    _check_symmetric(r_bar_a, "r_bar_a")
+    _check_symmetric(r_bar_b, "r_bar_b")
     n_a = r_bar_a.shape[0] // 2
     n_b = r_bar_b.shape[0] // 2
     if r_ab.shape != (2 * n_a, 2 * n_b):
@@ -270,54 +267,45 @@ def synthesize(
         if symplectic_defect(p) > 1e-10:
             raise ValidationError("p must be symplectic")
 
-    # Channel values off the two block diagonals; only the first m slots of
-    # each block feed the realization, and all above-threshold values sit in
-    # those slots because m >= ceil(rank/2).
-    t1 = np.zeros(m)
-    t2 = np.zeros(m)
-    block1 = svd.block1_diag()
-    block2 = svd.block2_diag()
-    t1[: min(m, len(block1))] = block1[:m]
-    t2[: min(m, len(block2))] = block2[:m]
+    # Channel values off the two block diagonals; all above-threshold values
+    # sit in the first m slots of each block because m >= ceil(rank/2).
+    t1 = svd.block1_diag()[:m]
+    t2 = svd.block2_diag()[:m]
 
-    gb3 = np.zeros(m)
-    gb4 = np.zeros(m)
-    for i in range(m):
-        if abs(ga1[i]) <= _PARAM_TINY or abs(ga2[i]) <= _PARAM_TINY:
+    # One scalar gain equation per channel; the first refused channel is
+    # named, whichever of its conditions fails.
+    den = y1 * y2 + 1.0
+    zero_gain = (np.abs(ga1) <= _PARAM_TINY) | (np.abs(ga2) <= _PARAM_TINY)
+    idle = np.abs(den) <= _PARAM_TINY
+    refused = np.flatnonzero(zero_gain | (idle & ((t1 != 0.0) | (t2 != 0.0))))
+    if refused.size:
+        i = refused[0]
+        if zero_gain[i]:
             raise SingularParameterError(
                 f"channel {i + 1}: gains ga1, ga2 must be nonzero"
             )
-        den = y1[i] * y2[i] + 1.0
-        if abs(den) <= _PARAM_TINY:
-            if t1[i] != 0.0 or t2[i] != 0.0:
-                raise SingularParameterError(
-                    f"channel {i + 1}: y1*y2 = -1 makes the gain equation "
-                    f"unsolvable for a nonzero coupling value"
-                )
-            # Idle channel: any gain works; zero keeps it decoupled.  The
-            # loop matrix itself is still singular at the Cayley step.
-            continue
-        gb4[i] = 2.0 * t1[i] / (ga1[i] * den)
-        gb3[i] = -2.0 * t2[i] / (ga2[i] * den)
+        raise SingularParameterError(
+            f"channel {i + 1}: y1*y2 = -1 makes the gain equation "
+            f"unsolvable for a nonzero coupling value"
+        )
+    # Idle channel (y1*y2 = -1, zero coupling values): any gain works; zero
+    # keeps it decoupled.  The loop matrix itself is still singular at the
+    # Cayley step.
+    den[idle] = np.inf
+    gb4 = 2.0 * t1 / (ga1 * den)
+    gb3 = -2.0 * t2 / (ga2 * den)
     gb1 = y2 * gb4
     gb2 = -y1 * gb3
 
-    g_a = np.zeros((2 * m, 2 * n_a))
-    g_a[:m, :n_a] = _diag_rect(ga1, m, n_a)
-    g_a[m:, n_a:] = _diag_rect(ga2, m, n_a)
-    g_b = np.zeros((2 * m, 2 * n_b))
-    g_b[:m, :n_b] = _diag_rect(gb1, m, n_b)
-    g_b[:m, n_b:] = _diag_rect(gb3, m, n_b)
-    g_b[m:, :n_b] = _diag_rect(gb4, m, n_b)
-    g_b[m:, n_b:] = _diag_rect(gb2, m, n_b)
+    # Before the mixing p, rows i and m + i of c_a are ga1[i] and ga2[i] times
+    # columns i and n_a + i of u, and those of c_b mix columns i and n_b + i
+    # of v: channel i carries one quadrature pair of each side.
+    u1, u2 = svd.u[:, :m], svd.u[:, n_a:n_a + m]
+    v1, v2 = svd.v[:, :m], svd.v[:, n_b:n_b + m]
+    c_a = p.T @ np.concatenate((u1 * ga1, u2 * ga2), axis=1).T
+    c_b = p.T @ np.concatenate((v1 * gb1 + v2 * gb3, v1 * gb4 + v2 * gb2), axis=1).T
 
-    c_a = p.T @ g_a @ svd.u.T
-    c_b = p.T @ g_b @ svd.v.T
-
-    y = np.zeros((2 * m, 2 * m))
-    y[:m, :m][np.diag_indices(m)] = y1
-    y[m:, m:][np.diag_indices(m)] = y2
-    y = p.T @ y @ p
+    y = (p.T * np.concatenate((y1, y2))) @ p
     y = 0.5 * (y + y.T)
     x = -j_times(y)
     sigma = cayley_sigma_from_x(x)

@@ -1,6 +1,7 @@
 """Document serialization: round-trips, determinism, diagnostics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hamlink import (
     save_report,
     synthesize,
 )
+from hamlink.cli import main
 from hamlink.files import make_provenance, save_trajectory
 from hamlink.lqss import DirectInteraction, LqssParams
 from hamlink.verify import MomentTrajectory
@@ -383,6 +385,41 @@ class TestLoaderDiagnostics:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             load_report(path)
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            # c_a rows are reported with c_b's, in that order.
+            (
+                lambda d: d["c_a"].extend(d["c_a"][:2]),
+                "loop couplings must have 4 rows, got 6 and 4",
+            ),
+            # r_a's width sets the column count c_a is read with.
+            (
+                lambda d: d.update(r_a=[row[:-2] for row in d["r_a"]]),
+                "'c_a' has 4 columns, expected 2",
+            ),
+            (lambda d: d["x"].pop(), r"x must have even dimensions .* \(3, 4\)"),
+            (
+                lambda d: d["sigma"].extend(d["sigma"][:2]),
+                r"x and sigma must be 4 x 4, got \(4, 4\) and \(6, 4\)",
+            ),
+        ],
+        ids=["c_a-extra-rows", "r_a-short", "x-missing-row", "sigma-extra-rows"],
+    )
+    def test_tampered_report_shape_is_refused(self, tmp_path, capsys, mutate, message):
+        problem_path = tmp_path / "demo.json"
+        save_problem(demo_problem(), problem_path)
+        path = tmp_path / "r.json"
+        assert main(["synth", str(problem_path), "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
+            load_report(path)
+        capsys.readouterr()
+        assert main(["verify", str(problem_path), str(path)]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
     def test_report_with_no_channels_refuses_a_loop_matrix(self, tmp_path):
         fr, report, _ = TestReportRoundTrip().make_report(tmp_path)

@@ -1,13 +1,13 @@
 """Package structure: modules share only public names with each other, no
-module multiplies by a dense J, and inputs are validated once, where they
-enter."""
+module multiplies by a dense J, channel synthesis has no Python loop, and
+inputs are validated once, where they enter."""
 
 import ast
 import sys
 from pathlib import Path
 
 import hamlink
-from hamlink import check_equivalence, demo_problem, symcore, synthesize
+from hamlink import check_equivalence, demo_problem, symcore, synth, synthesize
 
 PACKAGE_DIR = Path(hamlink.__file__).resolve().parent
 
@@ -78,6 +78,43 @@ def test_no_module_forms_a_dense_j():
         path.name: lines
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if (lines := jmat_calls(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def loop_lines(source: str, function: str) -> list[int]:
+    """Line numbers of for statements inside the named top-level function."""
+    return [
+        node.lineno
+        for top in ast.parse(source).body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+        if isinstance(node, (ast.For, ast.AsyncFor))
+    ]
+
+
+def test_detector_sees_for_statements():
+    source = (
+        "def synthesize(m):\n"
+        "    for i in range(m):\n"
+        "        pass\n"
+        "    def inner():\n"
+        "        for j in ():\n"
+        "            pass\n"
+        "def other():\n"
+        "    for k in ():\n"
+        "        pass\n"
+    )
+    assert loop_lines(source, "synthesize") == [2, 5]
+
+
+def test_channel_synthesis_has_no_python_loop():
+    # Channel synthesis works on per-channel vectors and one slot order, so
+    # its cost does not grow with a Python loop over channels or slots.
+    offenders = {
+        name: lines
+        for module, name in ((synth, "synthesize"), (symcore, "special_svd"))
+        if (lines := loop_lines(Path(module.__file__).read_text(), name))
     }
     assert offenders == {}
 

@@ -311,6 +311,49 @@ class TestQuadratureEmbeddings:
             unitary_to_quadrature(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def slot_list_special_svd(a: np.ndarray, rank_tol: float = 1e-10):
+    """Reference special SVD: the slot-list construction, as (u, t, v, rank).
+
+    Each ordinary-SVD index gets a (block, slot) target; the null directions
+    beyond the 2q paired slots take the remaining positions in ascending
+    order.
+    """
+    two_r, two_s = a.shape
+    r, s = two_r // 2, two_s // 2
+    q = min(r, s)
+    d = min(two_r, two_s)
+    if d == 0:
+        return np.eye(two_r), np.zeros((two_r, two_s)), np.eye(two_s), 0
+    u_plain, sing, vt_plain = np.linalg.svd(a)
+    smax = float(sing[0])
+    rank = int(np.count_nonzero(sing > rank_tol * smax)) if smax > 0.0 else 0
+    head = (rank + 1) // 2
+    tail = rank - head
+    slots = [(0, j) for j in range(head)]
+    slots += [(1, j) for j in range(tail)]
+    slots += [(0, head + j) for j in range(q - head)]
+    slots += [(1, tail + j) for j in range(q - tail)]
+    t = np.zeros((two_r, two_s))
+    row_order = np.full(two_r, -1, dtype=int)
+    col_order = np.full(two_s, -1, dtype=int)
+    for i, (blk, j) in enumerate(slots):
+        tr = j if blk == 0 else r + j
+        tc = j if blk == 0 else s + j
+        row_order[i] = tr
+        col_order[i] = tc
+        if i < rank:
+            t[tr, tc] = sing[i]
+    if two_r > d:
+        row_order[d:] = sorted(set(range(two_r)) - set(row_order[:d]))
+    if two_s > d:
+        col_order[d:] = sorted(set(range(two_s)) - set(col_order[:d]))
+    u = np.empty((two_r, two_r))
+    u[:, row_order] = u_plain
+    v = np.empty((two_s, two_s))
+    v[:, col_order] = vt_plain.T
+    return u, t, v, rank
+
+
 class TestSpecialSvd:
     def test_golden_block_diagonals(self):
         svd = special_svd(GOLDEN_COUPLING)
@@ -391,3 +434,18 @@ class TestSpecialSvd:
     def test_rejects_odd_shapes(self):
         with pytest.raises(ValidationError):
             special_svd(np.ones((3, 4)))
+
+    def test_matches_slot_list_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(65)
+        shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (1, 4), (4, 1), (2, 3),
+                  (3, 2), (3, 3), (2, 5), (5, 3)]
+        for n_a, n_b in shapes:
+            for rank in range(2 * min(n_a, n_b) + 1):
+                mat = random_coupling_of_rank(rng, n_a, n_b, rank)
+                for rank_tol in (1e-10, 0.0, 0.3):
+                    svd = special_svd(mat, rank_tol)
+                    u, t, v, ref_rank = slot_list_special_svd(mat, rank_tol)
+                    assert svd.rank == ref_rank, (n_a, n_b, rank, rank_tol)
+                    for ours, ref in ((svd.u, u), (svd.t, t), (svd.v, v)):
+                        assert ours.shape == ref.shape
+                        assert ours.tobytes() == ref.tobytes(), (n_a, n_b, rank)

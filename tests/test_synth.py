@@ -22,6 +22,7 @@ from hamlink import (
     jmat,
     min_channels,
     sharp_adjoint,
+    special_svd,
     synthesize,
     unitary_to_quadrature,
 )
@@ -227,6 +228,25 @@ class TestSingularParameters:
         with pytest.raises(SingularParameterError, match="nonzero"):
             synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (SynthOptions(ga2=(1.0, 0.0)), "channel 2: gains ga1, ga2 must be nonzero"),
+            (SynthOptions(y1=(1.0, 1.0), y2=(1.0, -1.0)), "channel 2: y1\\*y2 = -1"),
+            # Channel 1 is refused for its loop diagonals before channel 2's
+            # zero gain is looked at.
+            (
+                SynthOptions(y1=(1.0, 1.0), y2=(-1.0, 1.0), ga1=(1.0, 0.0)),
+                "channel 1: y1\\*y2 = -1",
+            ),
+        ],
+        ids=["zero-gain", "y-product", "first-channel-wins"],
+    )
+    def test_refusal_names_the_first_failing_channel(self, options, message):
+        di = demo_problem().interaction
+        with pytest.raises(SingularParameterError, match=message):
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+
     def test_idle_channel_y_product_minus_one_hits_cayley(self):
         rng = np.random.default_rng(221)
         di = make_interaction(rng, 2, 2, rank=1)
@@ -272,6 +292,13 @@ class TestInputValidation:
     def test_bad_rank_tol_rejected(self, rank_tol):
         with pytest.raises(ValidationError, match="rank_tol"):
             SynthOptions(rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, 1.0, 5.0])
+    @pytest.mark.parametrize("decide", [special_svd, min_channels])
+    def test_rank_decision_refuses_bad_rank_tol(self, decide, rank_tol):
+        di = demo_problem().interaction
+        with pytest.raises(ValidationError, match=r"rank_tol must be in \[0, 1\)"):
+            decide(di.r_ab, rank_tol)
 
     def test_zero_rank_tol_accepted(self):
         di = demo_problem().interaction
