@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -262,7 +263,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Subcommands are dispatched by name in main, so the parser holds no
+    reference to the cmd_* functions.
+    """
     parser = argparse.ArgumentParser(
         prog="hamlink",
         description=(
@@ -304,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rank-tol", type=float,
         help="relative rank threshold for the coupling (default 1e-10)",
     )
-    p_synth.set_defaults(func=cmd_synth)
 
     p_verify = sub.add_parser(
         "verify", help="re-check a report against its problem"
@@ -323,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sim-tol", type=_tolerance, default=1e-6,
         help="absolute tolerance for the trajectory comparison (default 1e-6)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_example = sub.add_parser(
         "example", help="write the bundled demonstration problem"
@@ -336,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tolerance, default=1e-8,
         help="scaled residual tolerance for the printed checks (default 1e-8)",
     )
-    p_example.set_defaults(func=cmd_example)
 
     p_sim = sub.add_parser(
         "simulate", help="integrate moments of the direct dynamics"
@@ -361,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", "-o", metavar="PATH",
         help="write the simulated trajectory as JSON (plain mode only)",
     )
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -375,11 +378,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, but 2 means an infeasible
         # channel count here; a usage error is malformed input.
         return 1
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_help()
         return 1
+    # Looked up at call time, so a wrapper bound to cmd_<name> is what runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except Exception as exc:
         code = _code_for(exc, args.command)
         _err(f"error: {exc}")

@@ -374,6 +374,11 @@ def load_report(path) -> ReportDoc:
     # and m restore it.
     r_a = _as_matrix(_get(doc, "r_a", where), "r_a", where)
     r_b = _as_matrix(_get(doc, "r_b", where), "r_b", where)
+    for key, r in (("r_a", r_a), ("r_b", r_b)):
+        if r.shape[0] != r.shape[1]:
+            raise ValidationError(
+                f"{where}: '{key}' must be square, got {r.shape[0]} x {r.shape[1]}"
+            )
     c_a = _as_matrix(_get(doc, "c_a", where), "c_a", where, cols=r_a.shape[1])
     c_b = _as_matrix(_get(doc, "c_b", where), "c_b", where, cols=r_b.shape[1])
     x = _as_matrix(_get(doc, "x", where), "x", where, cols=2 * m)

@@ -112,11 +112,11 @@ class FeedbackRealization:
         sigma = as_even_matrix(self.sigma, "sigma")
         r_a = as_even_matrix(self.r_a, "r_a")
         r_b = as_even_matrix(self.r_b, "r_b")
-        if c_a.shape[0] != width or c_b.shape[0] != width:
-            raise ValidationError(
-                f"loop couplings must have {width} rows, got "
-                f"{c_a.shape[0]} and {c_b.shape[0]}"
-            )
+        for name, c in (("c_a", c_a), ("c_b", c_b)):
+            if c.shape[0] != width:
+                raise ValidationError(
+                    f"{name} must have {width} rows, got {c.shape[0]}"
+                )
         if x.shape != (width, width) or sigma.shape != (width, width):
             raise ValidationError(
                 f"x and sigma must be {width} x {width}, got "

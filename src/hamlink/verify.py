@@ -51,8 +51,9 @@ _COMPARE_BLOCK_ROWS = 256
 # this many steps of its first overflow instead of at the end of its grid.
 _DIVERGENCE_CHECK_STEPS = 64
 # Largest trajectory simulate_moments stores, in floats: (n_steps + 1)
-# samples of a time, a mean and a covariance, 1 + dim * (dim + 1) floats
-# each.  2**27 floats are 1 GiB, and a trajectory comparison holds two.
+# samples of a time, an augmented moment matrix and a copied mean,
+# 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB, and a
+# trajectory comparison holds two.
 _MAX_TRAJECTORY_FLOATS = 2**27
 
 
@@ -190,7 +191,8 @@ class MomentTrajectory:
     """Mean and covariance samples on a uniform time grid.
 
     A plain record of the arrays simulate_moments fills: times (n,), means
-    (n, dim) and covariances (n, dim, dim).
+    (n, dim) and covariances (n, dim, dim), the last a strided view of the
+    augmented moment matrices the integrator stores.
     """
 
     times: np.ndarray
@@ -210,16 +212,30 @@ def simulate_moments(
     The mean obeys d mu/dt = a mu and the symmetrized covariance obeys
     d P/dt = a P + P a.T + (1/2) b b.T, where the constant term is the
     vacuum quadrature noise intensity.  Integration is classic fourth-order
-    Runge-Kutta with a fixed step; the covariance is re-symmetrized after
-    every step.  Defaults: zero mean, vacuum covariance (1/2) I.
+    Runge-Kutta with a fixed step.  Defaults: zero mean, vacuum covariance
+    (1/2) I.
 
     For a linear ODE one RK4 step applies the degree-4 Taylor polynomial of
     the step times the generator, so the step is precomputed once as an
     affine map.  With A_i = (dt a)^i / i! and T_j = A_0 + ... + A_j, the
     mean advances by mu <- T_4 mu and the covariance by
-    P <- sum_i A_i P T_{4-i}.T + c, where c is one stage-form RK4 step from
-    P = 0.  This is the stage form's polynomial in dt (a P + P a.T),
-    regrouped, and costs two matrix products per step at any dimension.
+    P <- sum_{i+j<=4} A_i P A_j.T + c, where c is one stage-form RK4 step
+    from P = 0.  This is the stage form's polynomial in dt (a P + P a.T),
+    regrouped.  For symmetric P the sum splits as V + V.T with
+    V = A_0 P R_0.T + A_1 P R_1.T + A_2 P R_2.T, where
+    R_0 = A_0/2 + A_1 + A_2 + A_3 + A_4, R_1 = A_1/2 + A_2 + A_3 and
+    R_2 = A_2/2.
+
+    Each sample is stored as the augmented moment matrix
+    z = [[P, mu], [mu.T, 1]].  Bordering A_0 and R_0 with a corner 1 and
+    1/2 (and A_1, A_2, R_1, R_2 and c with 0) makes the same split advance
+    the mean too: z <- V + V.T with V = sum_i A_i z R_i.T + c/2, whose mean
+    column is R_0 mu + mu/2 = T_4 mu and whose corner stays exactly 1.  A
+    step is two matrix products, an addition and a transposed addition,
+    each written into a preallocated buffer, and every sample is exactly
+    symmetric by construction.  covariances is a view of the stored
+    matrices; means is copied out of their last column once, after the
+    loop.
 
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
@@ -241,7 +257,7 @@ def simulate_moments(
         raise ValidationError(f"b_ext must have {dim} rows, got {b_ext.shape[0]}")
     # Rounded as a float first: t_final / dt can overflow to infinity.
     steps = max(1.0, float(np.rint(t_final / dt)))
-    sample_floats = 1 + dim * (dim + 1)  # time, mean and covariance
+    sample_floats = 1 + (dim + 1) ** 2 + dim  # time, z and the mean copy
     if (steps + 1) * sample_floats > _MAX_TRAJECTORY_FLOATS:
         raise ValidationError(
             f"t_final / dt = {t_final:g} / {dt:g} gives {steps:.3g} steps; a "
@@ -276,13 +292,19 @@ def simulate_moments(
     ):
         raise ValidationError("initial moments contain non-finite entries")
 
-    # A_0..A_4, their partial sums T_0..T_4, and the offset c.
+    # A_0..A_4; the bordered split factors, stacked as left = [A_0 A_1 A_2]
+    # and rhat = [R_0.T, R_1.T, R_2.T]; and half the bordered offset c.
     terms = [np.eye(dim)]
     for i in range(1, 5):
         terms.append(terms[-1] @ (dt * a) / i)
-    partial = np.cumsum(terms, axis=0)
-    left = np.hstack(terms)
-    right = np.ascontiguousarray(partial[::-1].transpose(0, 2, 1))
+    aug = dim + 1
+    left = np.zeros((aug, 3 * aug))
+    rhat = np.zeros((3, aug, aug))
+    for i in range(3):
+        left[:dim, i * aug : i * aug + dim] = terms[i]
+        rhat[i, :dim, :dim] = (0.5 * terms[i] + sum(terms[i + 1 : 5 - i])).T
+    left[dim, dim] = 1.0
+    rhat[0, dim, dim] = 0.5
 
     def dcov(pm: np.ndarray) -> np.ndarray:
         return a @ pm + pm @ a.T + q
@@ -290,13 +312,18 @@ def simulate_moments(
     k2 = dcov(0.5 * dt * q)
     k3 = dcov(0.5 * dt * k2)
     k4 = dcov(dt * k3)
-    offset = (dt / 6.0) * (q + 2.0 * k2 + 2.0 * k3 + k4)
-    t4 = partial[4]
+    half_c = np.zeros((aug, aug))
+    half_c[:dim, :dim] = (dt / 12.0) * (q + 2.0 * k2 + 2.0 * k3 + k4)
 
-    means = np.empty((n_steps + 1, dim))
-    covs = np.empty((n_steps + 1, dim, dim))
-    means[0] = mu
-    covs[0] = p
+    # Every sample is the augmented moment matrix z = [[P, mu], [mu.T, 1]].
+    z = np.empty((n_steps + 1, aug, aug))
+    z[0, :dim, :dim] = p
+    z[0, :dim, dim] = mu
+    z[0, dim, :dim] = mu
+    z[0, dim, dim] = 1.0
+    stack = np.empty((3, aug, aug))
+    stack2d = stack.reshape(3 * aug, aug)
+    v = np.empty((aug, aug))
 
     # Divergence is detected by a finiteness check after each block of
     # steps, so the overflow that precedes it is expected and not worth a
@@ -304,20 +331,24 @@ def simulate_moments(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, _DIVERGENCE_CHECK_STEPS):
             stop = min(start + _DIVERGENCE_CHECK_STEPS, n_steps)
-            for k in range(start, stop):
-                means[k + 1] = t4 @ means[k]
-                # P @ T_{4-i}.T stacked for i = 0..4, then summed against A_i.
-                p = left @ (covs[k] @ right).reshape(5 * dim, dim) + offset
-                covs[k + 1] = 0.5 * (p + p.T)
-            rows = slice(start + 1, stop + 1)
-            finite = np.isfinite(means[rows]).all(axis=1) & np.isfinite(
-                covs[rows].reshape(stop - start, -1)
-            ).all(axis=1)
+            for zk, znext in zip(z[start:stop], z[start + 1 : stop + 1]):
+                np.matmul(zk, rhat, out=stack)
+                np.matmul(left, stack2d, out=v)
+                v += half_c
+                np.add(v, v.T, out=znext)
+            block = z[start + 1 : stop + 1].reshape(stop - start, -1)
+            finite = np.isfinite(block).all(axis=1)
             if not finite.all():
                 raise DivergenceError((start + 1 + int(np.argmin(finite))) * dt)
 
+    # The mean gets its own array rather than a strided view of z.  Freed
+    # with z, it leaves each trajectory's heap space large enough for the
+    # next trajectory of the same size plus the caller's small allocations,
+    # so repeated comparisons reuse the space instead of growing the heap.
     times = np.arange(n_steps + 1) * dt
-    return MomentTrajectory(times=times, means=means, covariances=covs)
+    return MomentTrajectory(
+        times=times, means=z[:, :dim, dim].copy(), covariances=z[:, :dim, :dim]
+    )
 
 
 def compare_moment_trajectories(

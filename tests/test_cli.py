@@ -394,3 +394,41 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert "0.1.0" in result.stdout
+
+
+class TestOneParserPerProcess:
+    # The parser is built once and reused; every call must still see a fresh
+    # namespace and dispatch through the module's current cmd_* binding.
+    def test_usage_error_then_valid_command(self, demo_paths, capsys):
+        problem, report = demo_paths
+        code, _, err = run(["synth", str(problem), "--y2", "-1,-1"], capsys)
+        assert code == 1
+        assert "expected one argument" in err
+        code, out, _ = run(["synth", str(problem)], capsys)
+        assert code == 0
+        assert report.exists()
+        assert "verdict: PASS" in out
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["--version"])
+            assert info.value.code == 0
+            assert capsys.readouterr().out.strip() == "hamlink 0.1.0"
+
+    def test_patched_command_is_the_one_called(self, demo_paths, capsys, monkeypatch):
+        from hamlink import cli
+
+        problem, report = demo_paths
+        assert run(["synth", str(problem)], capsys)[0] == 0
+        calls = []
+
+        def wrapped(args):
+            calls.append(args.command)
+            return original(args)
+
+        original = cli.cmd_verify
+        monkeypatch.setattr(cli, "cmd_verify", wrapped)
+        code, out, _ = run(["verify", str(problem), str(report)], capsys)
+        assert (code, calls) == (0, ["verify"])
+        assert "verdict: PASS" in out

@@ -13,12 +13,14 @@ from hamlink import (
     ValidationError,
     check_equivalence,
     demo_problem,
+    direct_dynamics,
     load_problem,
     load_report,
     problem_to_json,
     report_to_json,
     save_problem,
     save_report,
+    simulate_moments,
     synthesize,
 )
 from hamlink.cli import main
@@ -250,6 +252,26 @@ class TestSeventeenDigitDocuments:
         assert "0.7," in first.read_text() and "-0.0" in first.read_text()
 
 
+class TestTrajectoryDocument:
+    def test_strided_views_write_the_same_bytes_as_copies(self, tmp_path):
+        # simulate_moments returns covariances as a strided view of the
+        # stored augmented moment matrices
+        dyn = direct_dynamics(demo_problem().interaction)
+        mean0 = np.linspace(-1.0, 1.0, dyn.dim)
+        traj = simulate_moments(dyn, t_final=0.05, dt=1e-3, mean0=mean0)
+        assert not traj.covariances.flags.c_contiguous
+        copies = MomentTrajectory(
+            times=traj.times.copy(),
+            means=np.ascontiguousarray(traj.means),
+            covariances=np.ascontiguousarray(traj.covariances),
+        )
+        save_trajectory(traj, tmp_path / "view.json")
+        save_trajectory(copies, tmp_path / "copy.json")
+        assert (tmp_path / "view.json").read_bytes() == (
+            tmp_path / "copy.json"
+        ).read_bytes()
+
+
 class TestNonFiniteWrites:
     MESSAGE = "documents cannot contain non-finite numbers"
 
@@ -389,15 +411,22 @@ class TestLoaderDiagnostics:
     @pytest.mark.parametrize(
         "mutate,message",
         [
-            # c_a rows are reported with c_b's, in that order.
             (
                 lambda d: d["c_a"].extend(d["c_a"][:2]),
-                "loop couplings must have 4 rows, got 6 and 4",
+                "c_a must have 4 rows, got 6",
             ),
-            # r_a's width sets the column count c_a is read with.
+            # r_a is checked square before its width sets c_a's columns.
             (
                 lambda d: d.update(r_a=[row[:-2] for row in d["r_a"]]),
-                "'c_a' has 4 columns, expected 2",
+                "'r_a' must be square, got 4 x 2",
+            ),
+            (
+                lambda d: d["c_b"].extend(d["c_b"][:2]),
+                "c_b must have 4 rows, got 6",
+            ),
+            (
+                lambda d: d.update(r_b=[row[:-2] for row in d["r_b"]]),
+                "'r_b' must be square, got 6 x 4",
             ),
             (lambda d: d["x"].pop(), r"x must have even dimensions .* \(3, 4\)"),
             (
@@ -405,7 +434,10 @@ class TestLoaderDiagnostics:
                 r"x and sigma must be 4 x 4, got \(4, 4\) and \(6, 4\)",
             ),
         ],
-        ids=["c_a-extra-rows", "r_a-short", "x-missing-row", "sigma-extra-rows"],
+        ids=[
+            "c_a-extra-rows", "r_a-short", "c_b-extra-rows", "r_b-short",
+            "x-missing-row", "sigma-extra-rows",
+        ],
     )
     def test_tampered_report_shape_is_refused(self, tmp_path, capsys, mutate, message):
         problem_path = tmp_path / "demo.json"

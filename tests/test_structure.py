@@ -1,5 +1,6 @@
 """Package structure: modules share only public names with each other, no
-module multiplies by a dense J, channel synthesis has no Python loop, and
+module multiplies by a dense J, channel synthesis has no Python loop, the
+moment integrator's step loop only writes into preallocated buffers, and
 inputs are validated once, where they enter."""
 
 import ast
@@ -7,7 +8,7 @@ import sys
 from pathlib import Path
 
 import hamlink
-from hamlink import check_equivalence, demo_problem, symcore, synth, synthesize
+from hamlink import check_equivalence, demo_problem, symcore, synth, synthesize, verify
 
 PACKAGE_DIR = Path(hamlink.__file__).resolve().parent
 
@@ -117,6 +118,55 @@ def test_channel_synthesis_has_no_python_loop():
         if (lines := loop_lines(Path(module.__file__).read_text(), name))
     }
     assert offenders == {}
+
+
+def deepest_loop_binops(source: str, function: str) -> list[int]:
+    """Line numbers of binary operations (@, +, *, ...) in the bodies of the
+    most deeply nested for statements inside the named top-level function."""
+    loops = []
+
+    def visit(node, depth):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.For, ast.AsyncFor)):
+                loops.append((depth + 1, child))
+                visit(child, depth + 1)
+            else:
+                visit(child, depth)
+
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            visit(top, 0)
+    deepest = max((depth for depth, _ in loops), default=0)
+    return sorted(
+        node.lineno
+        for depth, loop in loops
+        if depth == deepest
+        for statement in loop.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.BinOp)
+    )
+
+
+def test_detector_sees_binops_in_the_deepest_loop():
+    source = (
+        "def simulate_moments(n):\n"
+        "    for i in range(n):\n"
+        "        x = i * 2\n"
+        "    for start in range(n):\n"
+        "        for k in range(start + 1):\n"
+        "            z[k + 1] = z[k] @ m\n"
+        "            v += c\n"
+        "            np.add(v, v.T, out=w)\n"
+    )
+    assert deepest_loop_binops(source, "simulate_moments") == [6, 6]
+
+
+def test_moment_step_loop_writes_into_preallocated_buffers():
+    # Each RK4 step is a fixed number of numpy calls with out= or in-place
+    # operands: an expression such as a @ b or p + p.T in the step loop
+    # would allocate a temporary on every step.
+    source = Path(verify.__file__).read_text()
+    assert deepest_loop_binops(source, "simulate_moments") == []
 
 
 def test_pipeline_validates_only_its_inputs(monkeypatch):

@@ -184,12 +184,12 @@ class TestClosedLoopDynamics:
         assert np.all(np.isfinite(dyn.a))
 
 
-def damped_mode(kappa):
+def damped_mode(kappa, n=1):
     params = LqssParams(
-        n=1,
-        r=np.zeros((2, 2)),
-        c=np.sqrt(kappa) * np.eye(2),
-        d=np.eye(2),
+        n=n,
+        r=np.zeros((2 * n, 2 * n)),
+        c=np.sqrt(kappa) * np.eye(2 * n),
+        d=np.eye(2 * n),
     )
     return system_dynamics(params)
 
@@ -257,8 +257,17 @@ class TestSimulateMoments:
         dyn = direct_dynamics(di)
         cov0 = 0.5 * np.eye(dyn.dim) + 0.1 * random_symmetric(rng, dyn.dim)
         traj = simulate_moments(dyn, t_final=0.5, dt=1e-3, cov0=cov0)
-        for cov in traj.covariances[:: len(traj.covariances) // 7]:
-            assert np.array_equal(cov, cov.T)
+        # bitwise, on every sample
+        covs = traj.covariances
+        assert np.array_equal(covs, covs.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("modes", [0, 1, 2, 5])
+    def test_trajectory_shapes(self, modes):
+        traj = simulate_moments(damped_mode(1.0, n=modes), t_final=0.3, dt=0.1)
+        dim = 2 * modes
+        assert traj.times.shape == (4,)
+        assert traj.means.shape == (4, dim)
+        assert traj.covariances.shape == (4, dim, dim)
 
     def test_default_initial_conditions(self):
         dyn = damped_mode(1.0)
@@ -320,6 +329,22 @@ class TestSimulateMoments:
         # before any trajectory is allocated
         with pytest.raises(ValidationError, match="t_final / dt"):
             simulate_moments(damped_mode(1.0), t_final=t_final, dt=dt)
+
+    def test_grid_cap_counts_the_stored_floats(self, monkeypatch):
+        # At state dimension 4 a sample stores a time, a 5 x 5 augmented
+        # moment matrix and a copied mean: 30 floats.  4.6e6 samples of the
+        # 21 floats of a time, a mean and a covariance would fit under
+        # 2**27; the 30 stored do not, and nothing may be allocated first.
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("trajectory allocated before the grid check")
+
+        dyn = damped_mode(1.0, n=2)
+        monkeypatch.setattr(np, "empty", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        steps = 4_600_000 - 1
+        assert (steps + 1) * 21 <= 2**27 < (steps + 1) * 30
+        with pytest.raises(ValidationError, match="t_final / dt"):
+            simulate_moments(dyn, t_final=float(steps), dt=1.0)
 
     def test_rejects_bad_initial_moments(self):
         dyn = damped_mode(1.0)
