@@ -220,12 +220,12 @@ def direct_dynamics(interaction: DirectInteraction) -> LinearDynamics:
     enters each subsystem through its own ports only.
     """
     sa, sb = interaction.sys_a, interaction.sys_b
-    a = np.block(
-        [
-            [_drift(sa.r, sa.c), j_times(interaction.r_ab)],
-            [j_times(interaction.r_ab.T), _drift(sb.r, sb.c)],
-        ]
-    )
+    k = sa.r.shape[0]
+    a = np.empty((k + sb.r.shape[0],) * 2)
+    a[:k, :k] = _drift(sa.r, sa.c)
+    a[:k, k:] = j_times(interaction.r_ab)
+    a[k:, :k] = j_times(interaction.r_ab.T)
+    a[k:, k:] = _drift(sb.r, sb.c)
     b_ext, c_ext, d_ext = external_io(sa.c, sa.d, sb.c, sb.d)
     return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
@@ -246,23 +246,28 @@ def closed_loop_drift(
     so that reports on corrupted data can still be produced.  One guarded
     solve gives u = (I - sigma)^-1 [c_a, c_b]; the loop terms
     (I - sigma)^-1 sigma c = u - c follow from the identity
-    (I - sigma)^-1 sigma = (I - sigma)^-1 - I.  Raises AlgebraicLoopError
-    when I - sigma is singular or ill-conditioned.
+    (I - sigma)^-1 sigma = (I - sigma)^-1 - I.  Each row block of the drift
+    is then one product: -c_a# [u_a - c_a/2, u_b] for system A and
+    -c_b# [u_a - c_a, u_b - c_b/2] for system B, plus the local drifts on
+    the diagonal.  Raises AlgebraicLoopError when I - sigma is singular or
+    ill-conditioned.
     """
     u = guarded_solve(
         np.eye(sigma.shape[0]) - sigma,
         np.hstack((c_a, c_b)),
         "I - sigma (loop gain with an eigenvalue at or near one)",
     )
-    u_a = u[:, : c_a.shape[1]]
-    u_b = u[:, c_a.shape[1] :]
-    sharp_ca = sharp(c_a)
-    sharp_cb = sharp(c_b)
-    blk_aa = _drift(r_a, c_bar_a) - sharp_ca @ (u_a - 0.5 * c_a)
-    blk_bb = _drift(r_b, c_bar_b) - sharp_cb @ (u_b - 0.5 * c_b)
-    blk_ab = -sharp_ca @ u_b
-    blk_ba = -sharp_cb @ (u_a - c_a)
-    return np.block([[blk_aa, blk_ab], [blk_ba, blk_bb]])
+    k = c_a.shape[1]
+    out = np.empty((u.shape[1], u.shape[1]))
+    rows_a = u.copy()
+    rows_a[:, :k] -= 0.5 * c_a
+    np.matmul(-sharp(c_a), rows_a, out=out[:k])
+    u[:, :k] -= c_a
+    u[:, k:] -= 0.5 * c_b
+    np.matmul(-sharp(c_b), u, out=out[k:])
+    out[:k, :k] += _drift(r_a, c_bar_a)
+    out[k:, k:] += _drift(r_b, c_bar_b)
+    return out
 
 
 def skew_closed_loop_drift(
@@ -279,16 +284,22 @@ def skew_closed_loop_drift(
     Algebraically equal to the loop-eliminated drift with
     sigma = (x - I)(x + I)^-1, but assembled without any solve, through the
     identities (I - sigma)^-1 sigma = (x - I)/2 and (I - sigma)^-1 = (x + I)/2.
-    The arrays must already have consistent shapes.
+    With xc = x [c_a, c_b], the row block of system A is
+    -c_a# (xc + [0, c_b]) / 2 and that of system B is -c_b# (xc - [c_a, 0]) / 2,
+    plus the local drifts on the diagonal.  The arrays must already have
+    consistent shapes.
     """
-    eye = np.eye(x.shape[0])
-    sharp_ca = sharp(c_a)
-    sharp_cb = sharp(c_b)
-    blk_aa = _drift(r_a, c_bar_a) - 0.5 * sharp_ca @ x @ c_a
-    blk_bb = _drift(r_b, c_bar_b) - 0.5 * sharp_cb @ x @ c_b
-    blk_ab = -0.5 * sharp_ca @ (x + eye) @ c_b
-    blk_ba = -0.5 * sharp_cb @ (x - eye) @ c_a
-    return np.block([[blk_aa, blk_ab], [blk_ba, blk_bb]])
+    k = c_a.shape[1]
+    xc = x @ np.hstack((c_a, c_b))
+    out = np.empty((xc.shape[1], xc.shape[1]))
+    rows_a = xc.copy()
+    rows_a[:, k:] += c_b
+    np.matmul(-0.5 * sharp(c_a), rows_a, out=out[:k])
+    xc[:, :k] -= c_a
+    np.matmul(-0.5 * sharp(c_b), xc, out=out[k:])
+    out[:k, :k] += _drift(r_a, c_bar_a)
+    out[k:, k:] += _drift(r_b, c_bar_b)
+    return out
 
 
 def feedback_closed_loop(

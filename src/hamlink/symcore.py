@@ -108,9 +108,11 @@ def j_times(x: np.ndarray) -> np.ndarray:
 def max_abs(x: np.ndarray) -> float:
     """Largest entry magnitude of an array; 0.0 when it is empty.
 
-    Residuals are scaled by max(1.0, max_abs(reference)).
+    Residuals are scaled by max(1.0, max_abs(reference)).  x is real; NaN
+    propagates and the result is never -0.0.  The two reductions need no
+    |x| temporary.
     """
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return abs(float(max(x.max(), -x.min()))) if x.size else 0.0
 
 
 def symmetry_defect(x: np.ndarray) -> float:
@@ -157,25 +159,40 @@ def is_sharp_skew(x, tol: float = 1e-10) -> bool:
     return sharp_skew_defect(x) <= tol
 
 
-# Largest condition number of a matrix that guarded_solve inverts.
+# Largest condition number of a matrix that guarded_solve inverts, and of
+# the loop matrix X + I that synthesize maps through the Cayley transform.
 _COND_CAP = 1e12
 
 
-def guarded_solve(w: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve w @ out = rhs, refusing a singular or ill-conditioned w.
-
-    Raises AlgebraicLoopError naming `what` when the condition number of w
-    is not finite or exceeds the cap.
-    """
-    if w.shape[0] == 0:
-        return np.zeros((0, rhs.shape[1]))
-    cond = np.linalg.cond(w)
+def refuse_ill_conditioned(cond: float, what: str) -> None:
+    """Raise AlgebraicLoopError naming `what` when the condition number cond
+    is not finite or exceeds the cap."""
     if not np.isfinite(cond) or cond > _COND_CAP:
         raise AlgebraicLoopError(
             f"{what} is singular or near-singular (condition number "
             f"{cond:.3e} exceeds {_COND_CAP:.0e})"
         )
-    return np.linalg.solve(w, rhs)
+
+
+def guarded_solve(w: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve w @ out = rhs, refusing a singular or ill-conditioned w.
+
+    One inverse of w gives both the solution w^-1 @ rhs and the 1-norm
+    condition number ||w||_1 ||w^-1||_1.  Raises AlgebraicLoopError naming
+    `what` when w is exactly singular or that condition number is not
+    finite or exceeds the cap.
+    """
+    if w.shape[0] == 0:
+        return np.zeros((0, rhs.shape[1]))
+    try:
+        w_inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:  # exactly singular
+        cond = np.inf
+    else:
+        # Python floats: an overflowing product is inf, without a warning.
+        cond = float(np.linalg.norm(w, 1)) * float(np.linalg.norm(w_inv, 1))
+    refuse_ill_conditioned(cond, what)
+    return w_inv @ rhs
 
 
 # Relative J-skew and symplectic defects the Cayley maps accept.
@@ -263,7 +280,7 @@ def unitary_to_quadrature(s, tol: float = 1e-10) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError("scattering matrix contains non-finite entries")
     m = arr.shape[0]
-    defect = max_abs(arr.conj().T @ arr - np.eye(m))
+    defect = max_abs(np.abs(arr.conj().T @ arr - np.eye(m)))
     if defect > tol:
         raise ValidationError(
             f"scattering matrix is not unitary (defect {defect:.3e})"

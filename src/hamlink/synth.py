@@ -28,9 +28,9 @@ from .errors import (
 )
 from .symcore import (
     as_even_matrix,
-    cayley_sigma_from_x,
     j_times,
     max_abs,
+    refuse_ill_conditioned,
     sharp,
     special_svd,
     symmetry_defect,
@@ -175,8 +175,8 @@ def hamiltonian_corrections(r_bar, c, x) -> np.ndarray:
     adds to the local dynamics.  c# x c is J-skew whenever x is, so the
     correction is symmetric; the result is explicitly symmetrized to remove
     rounding noise.  Array-level: the arguments are float arrays of
-    consistent shapes and x is J-skew, as synthesize guarantees through its
-    Cayley step; nothing is checked again.
+    consistent shapes and x is J-skew, as synthesize builds it from a
+    symmetric matrix; nothing is checked again.
     """
     out = r_bar - 0.5 * j_times(sharp(c) @ x @ c)
     return 0.5 * (out + out.T)
@@ -213,8 +213,9 @@ def synthesize(
     2n_a x 2n_b interaction matrix.  Raises
     InfeasibleChannelCountError when the requested channel count is below
     ceil(rank/2), ValidationError when it exceeds min(n_a, n_b) or any
-    parameter is malformed, and SingularParameterError when a per-channel
-    gain equation has a vanishing denominator.
+    parameter is malformed, SingularParameterError when a per-channel
+    gain equation has a vanishing denominator, and AlgebraicLoopError when
+    the loop matrix X + I is singular or its condition number exceeds 1e12.
 
     The returned realization satisfies the coupling factorization identity
     to rounding level; a failed internal self-check raises rather than
@@ -291,9 +292,9 @@ def synthesize(
     # Idle channel (y1*y2 = -1, zero coupling values): any gain works; zero
     # keeps it decoupled.  The loop matrix itself is still singular at the
     # Cayley step.
-    den[idle] = np.inf
-    gb4 = 2.0 * t1 / (ga1 * den)
-    gb3 = -2.0 * t2 / (ga2 * den)
+    gain_den = np.where(idle, np.inf, den)
+    gb4 = 2.0 * t1 / (ga1 * gain_den)
+    gb3 = -2.0 * t2 / (ga2 * gain_den)
     gb1 = y2 * gb4
     gb2 = -y1 * gb3
 
@@ -308,7 +309,22 @@ def synthesize(
     y = (p.T * np.concatenate((y1, y2))) @ p
     y = 0.5 * (y + y.T)
     x = -j_times(y)
-    sigma = cayley_sigma_from_x(x)
+
+    # Cayley step in closed form.  p is orthogonal symplectic, so
+    # x = p.T x0 p, where x0 carries the block [[0, -y2], [y1, 0]] on each
+    # channel's quadrature pair, and sigma = (x - I)(x + I)^-1 = p.T sigma0 p
+    # with the blocks [[y1*y2 - 1, -2*y2], [2*y1, y1*y2 - 1]] / den, that is
+    # sigma0 = (diag(y1*y2 - 1, y1*y2 - 1) - 2 diag(y2, y1) J) / den.  A
+    # block of x0 + I has the singular values (hypot(2, y1 + y2) +- |y1 - y2|)/2:
+    # their product is |den| and their squares sum to 2 + y1^2 + y2^2.  The
+    # smaller is taken as |den| over the larger, which cannot cancel.
+    s_max = 0.5 * (np.abs(y1 - y2) + np.hypot(2.0, y1 + y2))
+    s_min = np.min(np.abs(den) / s_max, initial=np.inf)
+    cond = np.max(s_max, initial=1.0) / s_min if s_min else np.inf
+    refuse_ill_conditioned(cond, "X + I")
+    diag = np.concatenate(((y1 * y2 - 1.0) / den,) * 2)
+    skew = -2.0 * np.concatenate((y2, y1)) / np.concatenate((den, den))
+    sigma = p.T @ (diag[:, None] * p + skew[:, None] * j_times(p))
 
     r_a = hamiltonian_corrections(r_bar_a, c_a, x)
     r_b = hamiltonian_corrections(r_bar_b, c_b, x)

@@ -128,14 +128,14 @@ class TestReportRoundTrip:
         assert "input_sha256" in doc.provenance
 
     def test_negative_zeros_survive_rewrite(self, tmp_path):
-        # non-unit loop diagonals give sigma entries equal to -0.0
+        # x = -J y negates the zeros of y, so x carries entries equal to -0.0
         problem = demo_problem()
         problem_path = tmp_path / "demo.json"
         save_problem(problem, problem_path)
         di = problem.interaction
         options = SynthOptions(y1=(0.7, 1.6), y2=(1.3, 0.9))
         fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options=options)
-        assert np.any((fr.sigma == 0.0) & np.signbit(fr.sigma))
+        assert np.any((fr.x == 0.0) & np.signbit(fr.x))
         report = check_equivalence(di, fr)
         first = tmp_path / "first.report.json"
         save_report(fr, report, make_provenance(problem_path, options), first)

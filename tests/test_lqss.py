@@ -186,6 +186,35 @@ class TestClosedLoop:
             scale = max(1.0, np.max(np.abs(via_sigma)))
             assert np.max(np.abs(via_sigma - via_x)) <= 1e-10 * scale
 
+    def test_row_blocks_match_the_four_block_formulas(self):
+        # Oracle: each drift as four separately formed blocks, with dense J
+        # and an explicit inverse, as np.block assembles them.
+        rng = np.random.default_rng(146)
+        for _ in range(10):
+            sys_a, sys_b = self.make_pair(rng)
+            x = random_sharp_skew(rng, 2)
+            sigma = cayley_sigma_from_x(x)
+            eye = np.eye(4)
+            g = np.linalg.inv(eye - sigma)
+            sa, sb = sharp_adjoint(sys_a.c), sharp_adjoint(sys_b.c)
+            local_a = jmat(2) @ sys_a.r - 0.5 * sharp_adjoint(sys_a.c_bar) @ sys_a.c_bar
+            local_b = jmat(3) @ sys_b.r - 0.5 * sharp_adjoint(sys_b.c_bar) @ sys_b.c_bar
+            loop = np.block([
+                [local_a - sa @ (g - 0.5 * eye) @ sys_a.c, -sa @ g @ sys_b.c],
+                [-sb @ (g - eye) @ sys_a.c, local_b - sb @ (g - 0.5 * eye) @ sys_b.c],
+            ])
+            skew = np.block([
+                [local_a - 0.5 * sa @ x @ sys_a.c, -0.5 * sa @ (x + eye) @ sys_b.c],
+                [-0.5 * sb @ (x - eye) @ sys_a.c, local_b - 0.5 * sb @ x @ sys_b.c],
+            ])
+            via_sigma = feedback_closed_loop(sys_a, sys_b, sigma).a
+            via_x = skew_closed_loop_drift(
+                sys_a.r, sys_a.c_bar, sys_a.c, sys_b.r, sys_b.c_bar, sys_b.c, x
+            )
+            for got, oracle in ((via_sigma, loop), (via_x, skew)):
+                scale = max(1.0, np.max(np.abs(oracle)))
+                assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
+
     def test_external_maps_ignore_loop_ports(self):
         rng = np.random.default_rng(142)
         sys_a, sys_b = self.make_pair(rng)

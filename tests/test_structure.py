@@ -1,7 +1,8 @@
 """Package structure: modules share only public names with each other, no
-module multiplies by a dense J, channel synthesis has no Python loop, the
-moment integrator's step loop only writes into preallocated buffers, and
-inputs are validated once, where they enter."""
+module multiplies by a dense J, channel synthesis has no Python loop, no
+module pays for a condition-number SVD or a LAPACK solve, the Cayley step
+of synthesis is closed form, the moment integrator's step loop only writes
+into preallocated buffers, and inputs are validated once, where they enter."""
 
 import ast
 import sys
@@ -120,6 +121,75 @@ def test_channel_synthesis_has_no_python_loop():
     assert offenders == {}
 
 
+def linalg_cond_or_solve(source: str) -> list[str]:
+    """numpy.linalg cond and solve uses, as 'name:line': calls through a
+    linalg attribute and imports from numpy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("cond", "solve")
+            and getattr(node.func.value, "attr", getattr(node.func.value, "id", None)) == "linalg"
+        ):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("cond", "solve")]
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+def test_detector_sees_linalg_cond_and_solve():
+    source = (
+        "import numpy as np\n"
+        "c = np.linalg.cond(w)\n"
+        "u = numpy.linalg.solve(w, b)\n"
+        "from numpy.linalg import solve, inv\n"
+        "v = np.linalg.inv(w)\n"
+        "s = scipy_like.solve(w, b)\n"
+    )
+    assert linalg_cond_or_solve(source) == ["cond:2", "solve:3", "solve:4"]
+
+
+def test_no_module_calls_linalg_cond_or_solve():
+    # guarded_solve takes the solution and a 1-norm condition number from
+    # one inverse; a 2-norm condition number would cost a full SVD.
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (found := linalg_cond_or_solve(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def called_names(source: str, function: str) -> set[str]:
+    """Bare and attribute names called inside the named top-level function."""
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for top in ast.parse(source).body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_detector_sees_called_names():
+    source = (
+        "def synthesize(x):\n"
+        "    y = symcore.cayley_sigma_from_x(x)\n"
+        "    return guarded_solve(y, x, 'w').T\n"
+        "def other(x):\n"
+        "    return special_svd(x)\n"
+    )
+    assert called_names(source, "synthesize") == {"cayley_sigma_from_x", "guarded_solve"}
+
+
+def test_synthesis_cayley_step_is_closed_form():
+    # The loop matrix is block diagonal per channel up to the mixing p, so
+    # sigma and the condition number of X + I need no solve.
+    called = called_names(Path(synth.__file__).read_text(), "synthesize")
+    assert called.isdisjoint({"cayley_sigma_from_x", "guarded_solve"})
+
+
 def deepest_loop_binops(source: str, function: str) -> list[int]:
     """Line numbers of binary operations (@, +, *, ...) in the bodies of the
     most deeply nested for statements inside the named top-level function."""
@@ -171,9 +241,9 @@ def test_moment_step_loop_writes_into_preallocated_buffers():
 
 def test_pipeline_validates_only_its_inputs(monkeypatch):
     # Count as_even_matrix calls through every module binding of it.  On the
-    # demo, synthesize checks r_bar_a, r_bar_b and r_ab, special_svd and the
-    # Cayley map each check their argument, and FeedbackRealization its six
-    # matrices: 11.  check_equivalence checks only x and sigma for its
+    # demo, synthesize checks r_bar_a, r_bar_b and r_ab, special_svd checks
+    # its argument, and FeedbackRealization its six matrices: 10; the Cayley
+    # step is closed form.  check_equivalence checks only x and sigma for its
     # structural flags: 2.  The stages in between trust what they are given.
     di = demo_problem().interaction
     original = symcore.as_even_matrix
@@ -196,4 +266,4 @@ def test_pipeline_validates_only_its_inputs(monkeypatch):
     fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
     synth_names, names[:] = list(names), []
     check_equivalence(di, fr)
-    assert (len(synth_names), len(names)) == (11, 2), (synth_names, names)
+    assert (len(synth_names), len(names)) == (10, 2), (synth_names, names)

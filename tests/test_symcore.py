@@ -25,7 +25,7 @@ from hamlink import (
     symplectic_defect,
     unitary_to_quadrature,
 )
-from hamlink.symcore import j_times, sharp
+from hamlink.symcore import guarded_solve, j_times, max_abs, sharp
 
 GOLDEN_COUPLING = np.array(
     [
@@ -239,6 +239,69 @@ class TestCayley:
     def test_empty_matrices(self):
         assert cayley_sigma_from_x(np.zeros((0, 0))).shape == (0, 0)
         assert cayley_x_from_sigma(np.zeros((0, 0))).shape == (0, 0)
+
+
+class TestGuardedSolve:
+    def test_condition_cap(self):
+        rhs = np.ones((2, 3))
+        out = guarded_solve(np.diag([1.0, 2e-12]), rhs, "w")
+        assert np.array_equal(out, np.diag([1.0, 5e11]) @ rhs)
+        with pytest.raises(AlgebraicLoopError, match=r"w is singular .*2\.000e\+12 exceeds 1e\+12"):
+            guarded_solve(np.diag([1.0, 5e-13]), rhs, "w")
+
+    @pytest.mark.parametrize(
+        "w",
+        [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 0.0, 3.0])],
+        ids=["zero", "rank-one", "zero-pivot"],
+    )
+    def test_singular_matrix_is_algebraic_loop(self, w):
+        with pytest.raises(AlgebraicLoopError, match="condition number inf"):
+            guarded_solve(w, np.ones((len(w), 2)), "w")
+
+    def test_non_finite_inverse_is_refused(self):
+        with pytest.raises(AlgebraicLoopError):
+            guarded_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 1)), "w")
+
+    def test_matches_lapack_solve(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 5, 16, 40):
+            w = rng.normal(size=(n, n)) + n * np.eye(n)
+            rhs = rng.normal(size=(n, 7))
+            oracle = np.linalg.solve(w, rhs)
+            err = np.max(np.abs(guarded_solve(w, rhs, "w") - oracle))
+            assert err <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+    def test_empty_system(self):
+        out = guarded_solve(np.zeros((0, 0)), np.zeros((0, 3)), "w")
+        assert out.shape == (0, 3)
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([[-3.0, 2.0], [1.0, 0.5]], 3.0),
+            ([2.0, -1.0], 2.0),
+            ([np.inf, 1.0], np.inf),
+            ([-np.inf, 1.0], np.inf),
+            ([-np.inf, np.inf], np.inf),
+            ([1.0, np.nan, -2.0], np.nan),
+            ([np.nan, np.inf], np.nan),
+        ],
+    )
+    def test_values(self, values, expected):
+        out = max_abs(np.array(values))
+        assert type(out) is float
+        assert out == expected or (np.isnan(expected) and np.isnan(out))
+
+    @pytest.mark.parametrize("values", [[-0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    def test_zero_is_never_negative(self, values):
+        out = max_abs(np.array(values))
+        assert out == 0.0 and not np.signbit(out)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+    def test_empty(self, shape):
+        assert max_abs(np.zeros(shape)) == 0.0
 
 
 class TestPartitionPermutation:

@@ -1,5 +1,8 @@
 """Synthesis of feedback realizations: construction, parameters, failure modes."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,12 @@ from conftest import (
 )
 from hamlink import (
     AlgebraicLoopError,
+    HamlinkError,
     InfeasibleChannelCountError,
     SingularParameterError,
     SynthOptions,
     ValidationError,
+    cayley_sigma_from_x,
     check_equivalence,
     coupling_relation_residual,
     demo_problem,
@@ -26,6 +31,7 @@ from hamlink import (
     synthesize,
     unitary_to_quadrature,
 )
+from hamlink import synth
 from hamlink.lqss import DirectInteraction, LqssParams
 
 
@@ -253,6 +259,84 @@ class TestSingularParameters:
         assert min_channels(di.r_ab) == 1
         options = SynthOptions(m=2, y1=(1.0, 1.0), y2=(1.0, -1.0))
         with pytest.raises(AlgebraicLoopError):
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+
+
+def random_loop_problems(seed, count):
+    """(interaction, options) pairs with random loop diagonals, gains and
+    channel counts up to 8; every other one has a mixing p.  |1 + y1*y2| is
+    kept at least 0.1, so the loop matrix is well conditioned."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = int(rng.integers(1, 9))
+        rank = int(rng.integers(0, 2 * m + 1))
+        di = make_interaction(rng, m + int(rng.integers(0, 2)), m + int(rng.integers(0, 2)), rank)
+        y1 = rng.normal(scale=2.0, size=m)
+        y2 = rng.normal(scale=2.0, size=m)
+        near = np.abs(1.0 + y1 * y2) < 0.1
+        y2[near] = -y2[near]
+        ga1, ga2 = (rng.uniform(0.5, 2.0, size=(2, m)) * rng.choice([-1.0, 1.0], size=(2, m)))
+        p = unitary_to_quadrature(random_unitary(rng, m)) if i % 2 else None
+        yield di, SynthOptions(m=m, y1=tuple(y1), y2=tuple(y2), ga1=tuple(ga1), ga2=tuple(ga2), p=p)
+
+
+class TestClosedFormCayley:
+    def test_sigma_matches_the_solved_cayley_map(self):
+        for di, options in random_loop_problems(251, 200):
+            fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+            oracle = cayley_sigma_from_x(fr.x)
+            err = np.max(np.abs(fr.sigma - oracle))
+            assert err <= 1e-12 * max(1.0, np.max(np.abs(oracle))), (fr.m, err)
+
+    def test_condition_number_matches_the_dense_svd(self, monkeypatch):
+        seen = []
+        original = synth.refuse_ill_conditioned
+
+        def recording(cond, what):
+            seen.append(cond)
+            original(cond, what)
+
+        monkeypatch.setattr(synth, "refuse_ill_conditioned", recording)
+        for di, options in random_loop_problems(252, 200):
+            seen.clear()
+            fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+            oracle = np.linalg.cond(fr.x + np.eye(2 * fr.m))
+            assert len(seen) == 1
+            assert abs(seen[0] - oracle) <= 1e-10 * oracle, (fr.m, seen[0], oracle)
+
+    def test_zero_determinant_is_refused_without_a_warning(self):
+        rng = np.random.default_rng(253)
+        di = make_interaction(rng, 2, 2, rank=1)
+        options = SynthOptions(m=2, y1=(1.0, 1.0), y2=(1.0, -1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                AlgebraicLoopError,
+                match=r"X \+ I is singular or near-singular "
+                r"\(condition number inf exceeds 1e\+12\)",
+            ):
+                synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+
+    def test_near_idle_channel_names_its_condition_number(self):
+        # |1 + y1*y2| = 5e-13 is below the idle threshold, so the channel is
+        # decoupled, and X + I has condition number about 8e12.
+        rng = np.random.default_rng(254)
+        di = make_interaction(rng, 2, 2, rank=1)
+        y1, y2 = (1.0, 1.0), (1.0, -1.0 + 5e-13)
+        with pytest.raises(AlgebraicLoopError, match="X \\+ I") as exc_info:
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(m=2, y1=y1, y2=y2))
+        x = -jmat(2) @ np.diag(y1 + y2)
+        oracle = np.linalg.cond(x + np.eye(4))
+        assert oracle > 1e12
+        named = re.search(r"condition number (\S+) exceeds", str(exc_info.value)).group(1)
+        assert float(named) == pytest.approx(oracle, rel=1e-2)
+
+    def test_tiny_determinant_with_a_coupling_fails_the_self_check(self):
+        # 1 + y1*y2 = 1e-11 passes the Cayley step (condition number about
+        # 4e11) and the gain equation, whose huge gains fail the self-check.
+        di = demo_problem().interaction
+        options = SynthOptions(y1=(1.0, 1.0), y2=(-1.0 + 1e-11, 1.0))
+        with pytest.raises(HamlinkError, match="synthesis self-check failed"):
             synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
 
 
