@@ -42,7 +42,7 @@ from .files import (
     save_trajectory,
 )
 from .lqss import direct_dynamics
-from .symcore import max_abs, special_svd
+from .symcore import RANK_TOL, RESIDUAL_TOL, SIM_TOL, max_abs, special_svd
 from .synth import SynthOptions, synthesize
 from .verify import (
     check_equivalence,
@@ -96,24 +96,15 @@ def _merge_options(base: SynthOptions, args: argparse.Namespace) -> SynthOptions
 
 
 def _print_report(report) -> None:
-    for name in (
-        "drift_residual",
-        "skew_drift_residual",
-        "noise_residual",
-        "coupling_residual",
-    ):
+    """One line per check, then the verdict; cmd_verify sets moment_tol."""
+    for name, ok in report.checks.items():
+        verdict = "ok" if ok else "FAIL"
+        if name in report.flags:
+            print(f"  {name:22s} {verdict}")
+            continue
+        tol = report.moment_tol if name == "moment_residual" else report.tol
         value = getattr(report, name)
-        verdict = "ok" if value <= report.tol else "FAIL"
-        print(f"  {name:22s} {value:12.3e}  tol {report.tol:g}  {verdict}")
-    for name, ok in report.flags.items():
-        print(f"  {name:22s} {'ok' if ok else 'FAIL'}")
-    if report.moment_residual is not None:
-        tol = report.moment_tol if report.moment_tol is not None else report.tol
-        verdict = "ok" if report.moment_residual <= tol else "FAIL"
-        print(
-            f"  {'moment_residual':22s} {report.moment_residual:12.3e}"
-            f"  tol {tol:g}  {verdict}"
-        )
+        print(f"  {name:22s} {value:12.3e}  tol {tol:g}  {verdict}")
     if report.passed:
         print("verdict: PASS")
     else:
@@ -220,7 +211,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     svd = special_svd(di.r_ab)
     realization = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
     print("expected outcomes when synthesizing this problem:")
-    print(f"  minimum channel count: {(svd.rank + 1) // 2}")
+    print(f"  minimum channel count: {realization.m}")
     with np.printoptions(precision=4, suppress=True):
         print(f"  coupling block diagonals: {svd.block1_diag()} "
               f"and {svd.block2_diag()}")
@@ -280,10 +271,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"hamlink {__version__}"
     )
+    # --tol and --sim-tol, shared by the subcommands that take them.
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
+        "--tol", type=_tolerance, default=RESIDUAL_TOL,
+        help=f"scaled residual tolerance of the checks (default {RESIDUAL_TOL:g})",
+    )
+    sim_tol = argparse.ArgumentParser(add_help=False)
+    sim_tol.add_argument(
+        "--sim-tol", type=_tolerance, default=SIM_TOL,
+        help=f"absolute tolerance of a trajectory comparison (default {SIM_TOL:g})",
+    )
     sub = parser.add_subparsers(dest="command")
 
     p_synth = sub.add_parser(
-        "synth", help="synthesize a realization and write a report"
+        "synth", parents=[tol], help="synthesize a realization and write a report"
     )
     p_synth.add_argument("problem", nargs="?", help="problem document path")
     p_synth.add_argument(
@@ -293,10 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--output", "-o", metavar="PATH",
         help="report path (default: problem path with .report.json)",
-    )
-    p_synth.add_argument(
-        "--tol", type=_tolerance, default=1e-8,
-        help="scaled residual tolerance for the built-in checks (default 1e-8)",
     )
     p_synth.add_argument("--m", type=int, help="interconnection channel count")
     p_synth.add_argument("--y1", metavar="CSV", help="loop diagonal, first half")
@@ -309,41 +307,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument(
         "--rank-tol", type=float,
-        help="relative rank threshold for the coupling (default 1e-10)",
+        help=f"relative rank threshold for the coupling (default {RANK_TOL:g})",
     )
 
     p_verify = sub.add_parser(
-        "verify", help="re-check a report against its problem"
+        "verify", parents=[tol, sim_tol],
+        help="re-check a report against its problem",
     )
     p_verify.add_argument("problem", help="problem document path")
     p_verify.add_argument("report", help="report document path")
     p_verify.add_argument(
-        "--tol", type=_tolerance, default=1e-8,
-        help="scaled residual tolerance (default 1e-8)",
-    )
-    p_verify.add_argument(
         "--simulate", nargs=2, type=float, metavar=("T_FINAL", "DT"),
         help="also compare moment trajectories over [0, T_FINAL] at step DT",
     )
-    p_verify.add_argument(
-        "--sim-tol", type=_tolerance, default=1e-6,
-        help="absolute tolerance for the trajectory comparison (default 1e-6)",
-    )
 
     p_example = sub.add_parser(
-        "example", help="write the bundled demonstration problem"
+        "example", parents=[tol], help="write the bundled demonstration problem"
     )
     p_example.add_argument(
         "--output", "-o", metavar="PATH", default="demo_problem.json",
         help="where to write the problem (default demo_problem.json)",
     )
-    p_example.add_argument(
-        "--tol", type=_tolerance, default=1e-8,
-        help="scaled residual tolerance for the printed checks (default 1e-8)",
-    )
 
     p_sim = sub.add_parser(
-        "simulate", help="integrate moments of the direct dynamics"
+        "simulate", parents=[sim_tol],
+        help="integrate moments of the direct dynamics",
     )
     p_sim.add_argument("problem", help="problem document path")
     p_sim.add_argument(
@@ -356,10 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--dt", type=float, default=1e-3, help="time step (default 1e-3)"
-    )
-    p_sim.add_argument(
-        "--sim-tol", type=_tolerance, default=1e-6,
-        help="absolute tolerance in comparison mode (default 1e-6)",
     )
     p_sim.add_argument(
         "--output", "-o", metavar="PATH",

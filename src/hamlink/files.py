@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .lqss import DirectInteraction, LqssParams
+from .symcore import RANK_TOL
 from .synth import FeedbackRealization, SynthOptions
 from .verify import EquivalenceReport, MomentTrajectory
 
@@ -189,7 +190,7 @@ def _options_from_dict(doc: dict, where: str) -> SynthOptions:
         raise ValidationError(f"{where}: field 'm' must be an integer or null")
     p_raw = doc.get("p")
     p = None if p_raw is None else _as_matrix(p_raw, "p", where)
-    rank_tol = doc.get("rank_tol", 1e-10)
+    rank_tol = doc.get("rank_tol", RANK_TOL)
     if type(rank_tol) not in _NUMBER_TYPES:
         raise ValidationError(f"{where}: field 'rank_tol' must be a number")
     try:

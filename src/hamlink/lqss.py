@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .symcore import (
+    GAIN_TOL,
     as_even_matrix,
+    check_symmetric,
+    check_symplectic,
     guarded_solve,
     j_times,
     max_abs,
     sharp,
-    symmetry_defect,
-    symplectic_defect,
 )
 
 __all__ = [
@@ -37,10 +38,6 @@ __all__ = [
     "feedback_closed_loop",
     "realizability_defect",
 ]
-
-_SYM_TOL = 1e-12
-_SYMP_TOL = 1e-10
-
 
 def _checked_system(n: int, r, c, d, c_name: str, d_name: str):
     """Validate one system's (r, c, d) and return them as float arrays.
@@ -55,9 +52,7 @@ def _checked_system(n: int, r, c, d, c_name: str, d_name: str):
     d = as_even_matrix(d, d_name)
     if r.shape != (2 * n, 2 * n):
         raise ValidationError(f"r must be {2 * n} x {2 * n}, got {r.shape}")
-    defect = symmetry_defect(r)
-    if defect > _SYM_TOL * max(1.0, max_abs(r)):
-        raise ValidationError(f"r must be symmetric (defect {defect:.3e})")
+    check_symmetric(r, "r")
     if c.shape[1] != 2 * n:
         raise ValidationError(
             f"{c_name} must have {2 * n} columns, got {c.shape[1]}"
@@ -66,9 +61,7 @@ def _checked_system(n: int, r, c, d, c_name: str, d_name: str):
         raise ValidationError(
             f"{d_name} must be {c.shape[0]} x {c.shape[0]}, got {d.shape}"
         )
-    defect = symplectic_defect(d)
-    if defect > _SYMP_TOL * max(1.0, max_abs(d)) ** 2:
-        raise ValidationError(f"{d_name} must be symplectic (defect {defect:.3e})")
+    check_symplectic(d, d_name, GAIN_TOL)
     return r, c, d
 
 

@@ -33,6 +33,21 @@ __all__ = [
     "special_svd",
 ]
 
+# Thresholds and defaults, each defined once; public so that the other
+# modules can import them, and left out of __all__.  A defect is a max-abs
+# residual, compared with tol * scale(m) for the matrix m under test
+# ("scaled"), or tol * scale(m)**2 for the quadratic T J T.T - J ("scaled^2").
+SYM_TOL = 1e-12  # symmetric r, r_bar_a and r_bar_b (scaled)
+COV_SYM_TOL = 1e-9  # symmetric cov0 (scaled)
+GAIN_TOL = 1e-10  # symplectic d, d_bar, p (scaled^2); orthogonal p; is_* defaults
+LOOP_TOL = 1e-9  # J-skew x (scaled), symplectic sigma (scaled^2), unit margin
+SYM_FLAG_TOL = 1e-10  # flagged symmetry of the corrected r_a and r_b (scaled)
+PARAM_TINY = 1e-12  # smallest |ga1|, |ga2| and |1 + y1*y2| synthesize accepts
+COND_CAP = 1e12  # largest condition number of guarded_solve's w and of X + I
+RESIDUAL_TOL = 1e-8  # default tol of the scaled residuals; synthesis self-check
+RANK_TOL = 1e-10  # default relative rank threshold of r_ab
+SIM_TOL = 1e-6  # default absolute tolerance of moment trajectory comparisons
+
 
 def jmat(k: int) -> np.ndarray:
     """Return the canonical skew form J of size 2k x 2k.
@@ -65,6 +80,14 @@ def as_even_matrix(x, name: str = "matrix") -> np.ndarray:
         )
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_square_matrix(x, name: str = "matrix") -> np.ndarray:
+    """as_even_matrix, also refusing a matrix that is not square."""
+    arr = as_even_matrix(x, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -108,25 +131,27 @@ def j_times(x: np.ndarray) -> np.ndarray:
 def max_abs(x: np.ndarray) -> float:
     """Largest entry magnitude of an array; 0.0 when it is empty.
 
-    Residuals are scaled by max(1.0, max_abs(reference)).  x is real; NaN
-    propagates and the result is never -0.0.  The two reductions need no
-    |x| temporary.
+    x is real; NaN propagates and the result is never -0.0.  The two
+    reductions need no |x| temporary.
     """
     return abs(float(max(x.max(), -x.min()))) if x.size else 0.0
 
 
-def symmetry_defect(x: np.ndarray) -> float:
-    """Max-abs residual of X - X.T for a square array."""
-    return max_abs(x - x.T)
+def scale(x: np.ndarray) -> float:
+    """max(1, max_abs(x)): every scaled residual and threshold divides or
+    multiplies by it, so tolerances mean the same at any problem size."""
+    return max(1.0, max_abs(x))
 
 
-def symplectic_defect(t) -> float:
-    """Max-abs residual of T @ J @ T.T - J for a square even matrix."""
-    arr = as_even_matrix(t, "symplectic_defect input")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(
-            f"symplectic test needs a square matrix, got shape {arr.shape}"
-        )
+def check_symmetric(x: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
+    """ValidationError naming the square array x unless its symmetry defect,
+    max_abs(x - x.T), is within tol * scale(x)."""
+    defect = max_abs(x - x.T)
+    if not defect <= tol * scale(x):
+        raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
+
+
+def _symplectic_residual(arr: np.ndarray) -> float:
     res = arr @ j_times(arr.T)
     half = arr.shape[0] // 2
     k = np.arange(half)
@@ -135,22 +160,43 @@ def symplectic_defect(t) -> float:
     return max_abs(res)
 
 
-def is_symplectic(t, tol: float = 1e-10) -> bool:
+def symplectic_defect(t) -> float:
+    """Max-abs residual of T @ J @ T.T - J for a square even matrix."""
+    return _symplectic_residual(as_square_matrix(t, "symplectic_defect input"))
+
+
+def check_symplectic(t, name: str, tol: float) -> np.ndarray:
+    """t as a square even array; ValidationError naming it unless its
+    symplectic defect <= tol * scale(t)**2."""
+    arr = as_square_matrix(t, name)
+    defect = _symplectic_residual(arr)
+    if not defect <= tol * scale(arr) ** 2:
+        raise ValidationError(f"{name} must be symplectic (defect {defect:.3e})")
+    return arr
+
+
+def is_symplectic(t, tol: float = GAIN_TOL) -> bool:
     """True when T @ J @ T.T equals J within tol (max-abs)."""
     return symplectic_defect(t) <= tol
 
 
 def sharp_skew_defect(x) -> float:
     """Max-abs residual of X + sharp_adjoint(X) for a square even matrix."""
-    arr = as_even_matrix(x, "sharp_skew_defect input")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(
-            f"J-skew test needs a square matrix, got shape {arr.shape}"
-        )
+    arr = as_square_matrix(x, "sharp_skew_defect input")
     return max_abs(arr + sharp(arr))
 
 
-def is_sharp_skew(x, tol: float = 1e-10) -> bool:
+def check_sharp_skew(x, name: str, tol: float) -> np.ndarray:
+    """x as a square even array; ValidationError naming it unless its J-skew
+    defect <= tol * scale(x)."""
+    arr = as_square_matrix(x, name)
+    defect = max_abs(arr + sharp(arr))
+    if not defect <= tol * scale(arr):
+        raise ValidationError(f"{name} must be J-skew (defect {defect:.3e})")
+    return arr
+
+
+def is_sharp_skew(x, tol: float = GAIN_TOL) -> bool:
     """True when sharp_adjoint(X) == -X within tol (max-abs).
 
     Equivalent to J @ X being symmetric, which is exactly the condition for
@@ -159,18 +205,13 @@ def is_sharp_skew(x, tol: float = 1e-10) -> bool:
     return sharp_skew_defect(x) <= tol
 
 
-# Largest condition number of a matrix that guarded_solve inverts, and of
-# the loop matrix X + I that synthesize maps through the Cayley transform.
-_COND_CAP = 1e12
-
-
 def refuse_ill_conditioned(cond: float, what: str) -> None:
     """Raise AlgebraicLoopError naming `what` when the condition number cond
     is not finite or exceeds the cap."""
-    if not np.isfinite(cond) or cond > _COND_CAP:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise AlgebraicLoopError(
             f"{what} is singular or near-singular (condition number "
-            f"{cond:.3e} exceeds {_COND_CAP:.0e})"
+            f"{cond:.3e} exceeds {COND_CAP:.0e})"
         )
 
 
@@ -195,26 +236,15 @@ def guarded_solve(w: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return w_inv @ rhs
 
 
-# Relative J-skew and symplectic defects the Cayley maps accept.
-_CAYLEY_TOL = 1e-9
-
-
 def cayley_sigma_from_x(x) -> np.ndarray:
     """Map a J-skew matrix X to the symplectic gain (X - I)(X + I)^-1.
 
-    The input must be J-skew to a relative defect of 1e-9; the output is
+    The input must be J-skew to a scaled defect of LOOP_TOL; the output is
     then real symplectic and has no eigenvalue at one.  Raises
     AlgebraicLoopError when X + I is singular or nearly so, which happens
     exactly when X has an eigenvalue at minus one.
     """
-    arr = as_even_matrix(x, "cayley input")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"cayley input must be square, got {arr.shape}")
-    defect = max_abs(arr + sharp(arr))
-    if defect > _CAYLEY_TOL * max(1.0, max_abs(arr)):
-        raise ValidationError(
-            f"cayley input is not J-skew (defect {defect:.3e})"
-        )
+    arr = check_sharp_skew(x, "cayley input", LOOP_TOL)
     eye = np.eye(arr.shape[0])
     # (X - I)(X + I)^-1 computed as a transposed solve to avoid an explicit
     # inverse; (X - I) and (X + I)^-1 commute, so the order is immaterial.
@@ -224,19 +254,11 @@ def cayley_sigma_from_x(x) -> np.ndarray:
 def cayley_x_from_sigma(sigma) -> np.ndarray:
     """Invert the Cayley map: X = (I + S)(I - S)^-1 for symplectic S.
 
-    Raises AlgebraicLoopError when S has an eigenvalue at one, in which case
-    no finite J-skew preimage exists.
+    The input must be symplectic to a scaled^2 defect of LOOP_TOL.  Raises
+    AlgebraicLoopError when S has an eigenvalue at one, in which case no
+    finite J-skew preimage exists.
     """
-    arr = as_even_matrix(sigma, "cayley inverse input")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(
-            f"cayley inverse input must be square, got {arr.shape}"
-        )
-    defect = symplectic_defect(arr)
-    if defect > _CAYLEY_TOL * max(1.0, max_abs(arr)) ** 2:
-        raise ValidationError(
-            f"cayley inverse input is not symplectic (defect {defect:.3e})"
-        )
+    arr = check_symplectic(sigma, "cayley inverse input", LOOP_TOL)
     eye = np.eye(arr.shape[0])
     return guarded_solve((eye - arr).T, (eye + arr).T, "I - sigma").T
 
@@ -266,7 +288,7 @@ def build_partition_permutation(m_a: int, m_b: int) -> np.ndarray:
     return p
 
 
-def unitary_to_quadrature(s, tol: float = 1e-10) -> np.ndarray:
+def unitary_to_quadrature(s, tol: float = GAIN_TOL) -> np.ndarray:
     """Embed a complex unitary scattering matrix into quadrature form.
 
     For unitary S of size m x m the result is the 2m x 2m real matrix
@@ -326,7 +348,7 @@ class SpecialSvd:
         return np.diagonal(self.t[r:, s:])
 
 
-def special_svd(a, rank_tol: float = 1e-10) -> SpecialSvd:
+def special_svd(a, rank_tol: float = RANK_TOL) -> SpecialSvd:
     """SVD variant placing singular values on two sub-block diagonals.
 
     Computes an ordinary SVD, decides the numerical rank k by the relative

@@ -27,14 +27,20 @@ from .errors import (
     ValidationError,
 )
 from .symcore import (
+    GAIN_TOL,
+    PARAM_TINY,
+    RANK_TOL,
+    RESIDUAL_TOL,
     as_even_matrix,
+    as_square_matrix,
+    check_symmetric,
+    check_symplectic,
     j_times,
     max_abs,
     refuse_ill_conditioned,
+    scale,
     sharp,
     special_svd,
-    symmetry_defect,
-    symplectic_defect,
 )
 
 __all__ = [
@@ -45,9 +51,6 @@ __all__ = [
     "hamiltonian_corrections",
     "synthesize",
 ]
-
-_PARAM_TINY = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class SynthOptions:
@@ -68,7 +71,7 @@ class SynthOptions:
     ga1: tuple[float, ...] | None = None
     ga2: tuple[float, ...] | None = None
     p: np.ndarray | None = None
-    rank_tol: float = 1e-10
+    rank_tol: float = RANK_TOL
 
     def __post_init__(self):
         m = self.m
@@ -145,7 +148,7 @@ class FeedbackRealization:
         return self.c_b.shape[1] // 2
 
 
-def min_channels(r_ab, rank_tol: float = 1e-10) -> int:
+def min_channels(r_ab, rank_tol: float = RANK_TOL) -> int:
     """Minimum feasible interconnection channel count for a coupling.
 
     Equals ceil(rank/2): each channel carries a quadrature pair, so it can
@@ -165,7 +168,7 @@ def coupling_relation_residual(r_ab, c_a, c_b, x) -> float:
     them, and are not checked again.
     """
     rhs = 0.5 * j_times(sharp(c_a) @ (x + np.eye(x.shape[0])) @ c_b)
-    return max_abs(r_ab - rhs) / max(1.0, max_abs(r_ab))
+    return max_abs(r_ab - rhs) / scale(r_ab)
 
 
 def hamiltonian_corrections(r_bar, c, x) -> np.ndarray:
@@ -180,12 +183,6 @@ def hamiltonian_corrections(r_bar, c, x) -> np.ndarray:
     """
     out = r_bar - 0.5 * j_times(sharp(c) @ x @ c)
     return 0.5 * (out + out.T)
-
-
-def _check_symmetric(r: np.ndarray, name: str) -> None:
-    defect = symmetry_defect(r)
-    if defect > 1e-12 * max(1.0, max_abs(r)):
-        raise ValidationError(f"{name} must be symmetric (defect {defect:.3e})")
 
 
 def _resolve_diag(values, name: str, m: int) -> np.ndarray:
@@ -215,22 +212,18 @@ def synthesize(
     ceil(rank/2), ValidationError when it exceeds min(n_a, n_b) or any
     parameter is malformed, SingularParameterError when a per-channel
     gain equation has a vanishing denominator, and AlgebraicLoopError when
-    the loop matrix X + I is singular or its condition number exceeds 1e12.
+    the loop matrix X + I is singular or its condition number exceeds COND_CAP.
 
     The returned realization satisfies the coupling factorization identity
     to rounding level; a failed internal self-check raises rather than
     returning a bad realization.
     """
     opts = options if options is not None else SynthOptions()
-    r_bar_a = as_even_matrix(r_bar_a, "r_bar_a")
-    r_bar_b = as_even_matrix(r_bar_b, "r_bar_b")
+    r_bar_a = as_square_matrix(r_bar_a, "r_bar_a")
+    r_bar_b = as_square_matrix(r_bar_b, "r_bar_b")
     r_ab = as_even_matrix(r_ab, "r_ab")
-    if r_bar_a.shape[0] != r_bar_a.shape[1]:
-        raise ValidationError(f"r_bar_a must be square, got {r_bar_a.shape}")
-    if r_bar_b.shape[0] != r_bar_b.shape[1]:
-        raise ValidationError(f"r_bar_b must be square, got {r_bar_b.shape}")
-    _check_symmetric(r_bar_a, "r_bar_a")
-    _check_symmetric(r_bar_b, "r_bar_b")
+    check_symmetric(r_bar_a, "r_bar_a")
+    check_symmetric(r_bar_b, "r_bar_b")
     n_a = r_bar_a.shape[0] // 2
     n_b = r_bar_b.shape[0] // 2
     if r_ab.shape != (2 * n_a, 2 * n_b):
@@ -263,10 +256,9 @@ def synthesize(
                 f"p must be {2 * m} x {2 * m}, got {p.shape}"
             )
         ortho = max_abs(p.T @ p - np.eye(2 * m))
-        if ortho > 1e-10:
+        if ortho > GAIN_TOL:
             raise ValidationError(f"p must be orthogonal (defect {ortho:.3e})")
-        if symplectic_defect(p) > 1e-10:
-            raise ValidationError("p must be symplectic")
+        check_symplectic(p, "p", GAIN_TOL)
 
     # Channel values off the two block diagonals; all above-threshold values
     # sit in the first m slots of each block because m >= ceil(rank/2).
@@ -276,8 +268,8 @@ def synthesize(
     # One scalar gain equation per channel; the first refused channel is
     # named, whichever of its conditions fails.
     den = y1 * y2 + 1.0
-    zero_gain = (np.abs(ga1) <= _PARAM_TINY) | (np.abs(ga2) <= _PARAM_TINY)
-    idle = np.abs(den) <= _PARAM_TINY
+    zero_gain = (np.abs(ga1) <= PARAM_TINY) | (np.abs(ga2) <= PARAM_TINY)
+    idle = np.abs(den) <= PARAM_TINY
     refused = np.flatnonzero(zero_gain | (idle & ((t1 != 0.0) | (t2 != 0.0))))
     if refused.size:
         i = refused[0]
@@ -333,7 +325,7 @@ def synthesize(
         m=m, c_a=c_a, c_b=c_b, x=x, sigma=sigma, r_a=r_a, r_b=r_b
     )
     residual = coupling_relation_residual(r_ab, c_a, c_b, x)
-    if residual > 1e-8:
+    if residual > RESIDUAL_TOL:
         raise HamlinkError(
             f"synthesis self-check failed: coupling residual {residual:.3e}"
         )

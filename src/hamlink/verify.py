@@ -25,11 +25,17 @@ from .lqss import (
     skew_closed_loop_drift,
 )
 from .symcore import (
+    COV_SYM_TOL,
+    LOOP_TOL,
+    RESIDUAL_TOL,
+    SYM_FLAG_TOL,
     as_even_matrix,
+    as_square_matrix,
+    check_sharp_skew,
+    check_symmetric,
+    check_symplectic,
     max_abs,
-    sharp_skew_defect,
-    symmetry_defect,
-    symplectic_defect,
+    scale,
 )
 from .synth import FeedbackRealization, coupling_relation_residual
 
@@ -42,8 +48,6 @@ __all__ = [
     "compare_moment_trajectories",
 ]
 
-_FLAG_TOL = 1e-9
-_SYM_FLAG_TOL = 1e-10
 # Rows of two trajectories compared at once, so the difference temporaries
 # stay a fixed size whatever the step count.
 _COMPARE_BLOCK_ROWS = 256
@@ -103,7 +107,7 @@ class EquivalenceReport:
 def check_equivalence(
     interaction: DirectInteraction,
     realization: FeedbackRealization,
-    tol: float = 1e-8,
+    tol: float = RESIDUAL_TOL,
 ) -> EquivalenceReport:
     """Compare a direct interaction against a feedback realization.
 
@@ -130,31 +134,36 @@ def check_equivalence(
         margin = float("inf")
 
     flags = {
-        "x_sharp_skew": sharp_skew_defect(fr.x) <= _FLAG_TOL * max(1.0, max_abs(fr.x)),
-        "sigma_symplectic": symplectic_defect(fr.sigma)
-        <= _FLAG_TOL * max(1.0, max_abs(fr.sigma)) ** 2,
-        "sigma_no_unit_eigenvalue": margin > _FLAG_TOL,
-        "r_a_symmetric": symmetry_defect(fr.r_a)
-        <= _SYM_FLAG_TOL * max(1.0, max_abs(fr.r_a)),
-        "r_b_symmetric": symmetry_defect(fr.r_b)
-        <= _SYM_FLAG_TOL * max(1.0, max_abs(fr.r_b)),
+        "x_sharp_skew": _accepts(check_sharp_skew, fr.x, LOOP_TOL),
+        "sigma_symplectic": _accepts(check_symplectic, fr.sigma, LOOP_TOL),
+        "sigma_no_unit_eigenvalue": margin > LOOP_TOL,
+        "r_a_symmetric": _accepts(check_symmetric, fr.r_a, SYM_FLAG_TOL),
+        "r_b_symmetric": _accepts(check_symmetric, fr.r_b, SYM_FLAG_TOL),
     }
 
     direct = direct_dynamics(di)
     skew_a = skew_closed_loop_drift(
         fr.r_a, di.sys_a.c, fr.c_a, fr.r_b, di.sys_b.c, fr.c_b, fr.x
     )
-    a_scale = max(1.0, max_abs(direct.a))
+    a_scale = scale(direct.a)
     return EquivalenceReport(
         drift_residual=max_abs(direct.a - closed.a) / a_scale,
         skew_drift_residual=max_abs(direct.a - skew_a) / a_scale,
-        noise_residual=max_abs(direct.b_ext - closed.b_ext)
-        / max(1.0, max_abs(direct.b_ext)),
+        noise_residual=max_abs(direct.b_ext - closed.b_ext) / scale(direct.b_ext),
         coupling_residual=coupling_relation_residual(di.r_ab, fr.c_a, fr.c_b, fr.x),
         sigma_unit_margin=margin,
         flags=flags,
         tol=tol,
     )
+
+
+def _accepts(check, matrix: np.ndarray, tol: float) -> bool:
+    """True when the refusal `check` accepts matrix at tol."""
+    try:
+        check(matrix, "flagged matrix", tol)
+    except ValidationError:
+        return False
+    return True
 
 
 def closed_loop_dynamics(
@@ -248,11 +257,9 @@ def simulate_moments(
         raise ValidationError(f"t_final must be positive, got {t_final}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be positive, got {dt}")
-    a = as_even_matrix(dynamics.a, "a")
+    a = as_square_matrix(dynamics.a, "a")
     b_ext = as_even_matrix(dynamics.b_ext, "b_ext")
     dim = a.shape[0]
-    if a.shape[1] != dim:
-        raise ValidationError(f"a must be square, got {a.shape}")
     if b_ext.shape[0] != dim:
         raise ValidationError(f"b_ext must have {dim} rows, got {b_ext.shape[0]}")
     # Rounded as a float first: t_final / dt can overflow to infinity.
@@ -283,14 +290,13 @@ def simulate_moments(
             raise ValidationError(
                 f"cov0 must be {dim} x {dim}, got {p.shape}"
             )
-        defect = symmetry_defect(p)
-        if defect > 1e-9 * max(1.0, max_abs(p)):
-            raise ValidationError(f"cov0 must be symmetric (defect {defect:.3e})")
-        p = 0.5 * (p + p.T)
     if (mu.size and not np.all(np.isfinite(mu))) or (
         p.size and not np.all(np.isfinite(p))
     ):
         raise ValidationError("initial moments contain non-finite entries")
+    if cov0 is not None:
+        check_symmetric(p, "cov0", COV_SYM_TOL)
+        p = 0.5 * (p + p.T)
 
     # A_0..A_4; the bordered split factors, stacked as left = [A_0 A_1 A_2]
     # and rhat = [R_0.T, R_1.T, R_2.T]; and half the bordered offset c.

@@ -2,7 +2,8 @@
 module multiplies by a dense J, channel synthesis has no Python loop, no
 module pays for a condition-number SVD or a LAPACK solve, the Cayley step
 of synthesis is closed form, the moment integrator's step loop only writes
-into preallocated buffers, and inputs are validated once, where they enter."""
+into preallocated buffers, inputs are validated once, where they enter, and
+each threshold and the residual scale are defined once, in symcore."""
 
 import ast
 import sys
@@ -267,3 +268,86 @@ def test_pipeline_validates_only_its_inputs(monkeypatch):
     synth_names, names[:] = list(names), []
     check_equivalence(di, fr)
     assert (len(synth_names), len(names)) == (10, 2), (synth_names, names)
+
+
+def threshold_assignments(source: str) -> list[str]:
+    """Module-level names ending in _TOL, _CAP or _TINY that the source
+    assigns, as 'name:line'."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [
+            getattr(node, "target", None)
+        ]
+        for target in targets:
+            name = getattr(target, "id", "")
+            if name.endswith(("_TOL", "_CAP", "_TINY")):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def inline_scales(source: str) -> list[int]:
+    """Line numbers of max(1.0, max_abs(...)) calls outside a function
+    named scale."""
+    found = []
+
+    def visit(node, inside_scale):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside_scale or child.name == "scale")
+                continue
+            if (
+                not inside_scale
+                and isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "max"
+                and len(child.args) == 2
+                and isinstance(child.args[0], ast.Constant)
+                and child.args[0].value == 1
+                and isinstance(child.args[1], ast.Call)
+                and getattr(
+                    child.args[1].func, "id", getattr(child.args[1].func, "attr", None)
+                )
+                == "max_abs"
+            ):
+                found.append(child.lineno)
+            visit(child, inside_scale)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_detector_sees_thresholds_and_inline_scales():
+    source = (
+        "_SYM_TOL = 1e-12\n"
+        "COND_CAP: float = 1e12\n"
+        "_PARAM_TINY = 1e-12\n"
+        "_MAX_ROWS = 256\n"
+        "def f(x):\n"
+        "    LOCAL_TOL = 1e-3\n"
+        "    return max(1.0, max_abs(x)) + max(1, symcore.max_abs(x))\n"
+        "def scale(x):\n"
+        "    return max(1.0, max_abs(x))\n"
+        "y = max(2.0, max_abs(z))\n"
+    )
+    assert threshold_assignments(source) == ["_SYM_TOL:1", "COND_CAP:2", "_PARAM_TINY:3"]
+    assert inline_scales(source) == [7, 7]
+
+
+def test_thresholds_are_assigned_only_in_symcore():
+    # Every threshold and default lives in symcore's one table.
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "symcore.py"
+        and (found := threshold_assignments(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_residual_scale_is_written_only_in_symcore_scale():
+    # Every scaled residual and scaled threshold goes through symcore.scale.
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := inline_scales(path.read_text()))
+    }
+    assert offenders == {}
