@@ -209,8 +209,9 @@ def synthesize(
     r_bar_a and r_bar_b are the systems' own Hamiltonian matrices, r_ab the
     2n_a x 2n_b interaction matrix.  Raises
     InfeasibleChannelCountError when the requested channel count is below
-    ceil(rank/2), ValidationError when it exceeds min(n_a, n_b) or any
-    parameter is malformed, SingularParameterError when a per-channel
+    ceil(rank/2), ValidationError when it exceeds min(n_a, n_b), any
+    parameter is malformed or a channel's y1*y2 overflows,
+    SingularParameterError when a per-channel
     gain equation has a vanishing denominator, and AlgebraicLoopError when
     the loop matrix X + I is singular or its condition number exceeds COND_CAP.
 
@@ -265,9 +266,19 @@ def synthesize(
     t1 = svd.block1_diag()[:m]
     t2 = svd.block2_diag()[:m]
 
+    # 1 + y1*y2 is every channel's determinant; a product past the float
+    # range is refused by name before any arithmetic builds on it.
+    with np.errstate(over="ignore"):
+        den = y1 * y2 + 1.0
+    overflow = np.flatnonzero(~np.isfinite(den))
+    if overflow.size:
+        i = overflow[0]
+        raise ValidationError(
+            f"channel {i + 1}: y1*y2 overflows (y1 = {y1[i]:g}, y2 = {y2[i]:g})"
+        )
+
     # One scalar gain equation per channel; the first refused channel is
     # named, whichever of its conditions fails.
-    den = y1 * y2 + 1.0
     zero_gain = (np.abs(ga1) <= PARAM_TINY) | (np.abs(ga2) <= PARAM_TINY)
     idle = np.abs(den) <= PARAM_TINY
     refused = np.flatnonzero(zero_gain | (idle & ((t1 != 0.0) | (t2 != 0.0))))
@@ -302,11 +313,9 @@ def synthesize(
     y = 0.5 * (y + y.T)
     x = -j_times(y)
 
-    # Cayley step in closed form.  p is orthogonal symplectic, so
-    # x = p.T x0 p, where x0 carries the block [[0, -y2], [y1, 0]] on each
-    # channel's quadrature pair, and sigma = (x - I)(x + I)^-1 = p.T sigma0 p
-    # with the blocks [[y1*y2 - 1, -2*y2], [2*y1, y1*y2 - 1]] / den, that is
-    # sigma0 = (diag(y1*y2 - 1, y1*y2 - 1) - 2 diag(y2, y1) J) / den.  A
+    # Cayley step per channel.  p is orthogonal symplectic, so x = p.T x0 p,
+    # where x0 carries the block [[0, -y2], [y1, 0]] on each channel's
+    # quadrature pair, and sigma = (x - I)(x + I)^-1 = p.T sigma0 p.  A
     # block of x0 + I has the singular values (hypot(2, y1 + y2) +- |y1 - y2|)/2:
     # their product is |den| and their squares sum to 2 + y1^2 + y2^2.  The
     # smaller is taken as |den| over the larger, which cannot cancel.
@@ -314,9 +323,23 @@ def synthesize(
     s_min = np.min(np.abs(den) / s_max, initial=np.inf)
     cond = np.max(s_max, initial=1.0) / s_min if s_min else np.inf
     refuse_ill_conditioned(cond, "X + I")
-    diag = np.concatenate(((y1 * y2 - 1.0) / den,) * 2)
-    skew = -2.0 * np.concatenate((y2, y1)) / np.concatenate((den, den))
-    sigma = p.T @ (diag[:, None] * p + skew[:, None] * j_times(p))
+    # Each block of sigma0 solves (X0 + I)^T S = (X0 - I)^T for S = sigma0^T
+    # by Gaussian elimination with partial pivoting.  The rows of the
+    # augmented system are (1, y1 | -1, y1) and (-y2, 1 | -y2, -1), and the
+    # second is the pivot when |y2| > 1.  Near 1 + y1*y2 = 0, I - sigma is
+    # nearly singular, and the entrywise closed form (y1*y2 - 1)/den, 2y/den
+    # rounds into a sigma that no nearby x maps to; the elimination's
+    # rounding does not.  s0 and s1 are the rows of S, so the columns of
+    # the block, each with its q entry first.
+    one = np.ones(m)
+    rows = np.array([[one, y1, -one, y1], [-y2, one, -y2, -one]])
+    piv, oth = np.where(np.abs(y2) > 1.0, rows[::-1], rows)
+    mult = oth[0] / piv[0]
+    s1 = (oth[2:] - mult * piv[2:]) / (oth[1] - mult * piv[1])
+    s0 = (piv[2:] - piv[1] * s1) / piv[0]
+    # sigma0 p as two scaled row blocks of p: the q rows, then the p rows.
+    sigma0_p = (s0[:, :, None] * p[:m] + s1[:, :, None] * p[m:]).reshape(2 * m, 2 * m)
+    sigma = p.T @ sigma0_p
 
     r_a = hamiltonian_corrections(r_bar_a, c_a, x)
     r_b = hamiltonian_corrections(r_bar_b, c_b, x)

@@ -339,6 +339,21 @@ class TestClosedFormCayley:
         with pytest.raises(HamlinkError, match="synthesis self-check failed"):
             synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
 
+    @pytest.mark.parametrize("v", [-1.00001, -1.000001])
+    def test_near_idle_channels_keep_the_loop_elimination_exact(self, v):
+        # 1 + y1*y2 = 1e-5 and 1e-6 on both demo channels, with gains that
+        # balance c_a against c_b.  I - sigma then has condition number about
+        # 4/|1 + y1*y2|, which amplifies any rounding of sigma that no
+        # nearby x explains; the entrywise closed form read 1.3e-6 and 3.2e-4.
+        di = demo_problem().interaction
+        svd = special_svd(di.r_ab)
+        t = np.maximum(svd.block1_diag()[:2], svd.block2_diag()[:2])
+        y1, y2 = np.ones(2), np.full(2, v)
+        ga = tuple(np.sqrt(2.0 * t / np.abs(1.0 + y1 * y2)))
+        options = SynthOptions(y1=tuple(y1), y2=tuple(y2), ga1=ga, ga2=ga)
+        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+        assert check_equivalence(di, fr).drift_residual <= 2e-10
+
 
 class TestHamiltonianCorrections:
     def test_matches_inline_formula(self):

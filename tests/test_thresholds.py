@@ -196,9 +196,19 @@ def test_r_symmetric_flags_are_scaled_1e_10(side, factor, ok):
     ],
 )
 def test_overflowing_parameters_are_refused(options):
-    # On the demo the corrections or sigma overflow, and the finiteness
-    # check on the realization's matrices refuses them.
+    # On the demo the corrections overflow, and the finiteness check on the
+    # realization's matrices refuses them; an overflowing y1*y2 is refused
+    # by name before that.
     di = demo_problem().interaction
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(ValidationError):
             synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(**options))
+
+
+@pytest.mark.parametrize("y", [(1e160, 1.0), (1e160, 1e160)])
+def test_overflowing_loop_diagonals_are_refused_by_name_without_a_warning(y):
+    di = demo_problem().interaction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"channel 1: y1\*y2 overflows"):
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(y1=y, y2=y))

@@ -33,6 +33,12 @@ from hamlink.lqss import DirectInteraction
 from hamlink.verify import MomentTrajectory
 
 
+# State dimensions on each side of the cutoff between the packed Kronecker
+# step and the split step.
+PACKED_DIM = 16
+SPLIT_DIM = 18
+
+
 def golden_pair():
     di = demo_problem().interaction
     fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
@@ -261,6 +267,15 @@ class TestSimulateMoments:
         covs = traj.covariances
         assert np.array_equal(covs, covs.transpose(0, 2, 1))
 
+    def test_covariance_stays_symmetric_in_the_split_step(self):
+        # the demo's dimension 10 takes the packed Kronecker step, SPLIT_DIM
+        # the split step
+        rng = np.random.default_rng(322)
+        dyn, mean0, cov0 = random_moments_case(rng, SPLIT_DIM)
+        traj = simulate_moments(dyn, t_final=0.5, dt=1e-3, mean0=mean0, cov0=cov0)
+        covs = traj.covariances
+        assert np.array_equal(covs, covs.transpose(0, 2, 1))
+
     @pytest.mark.parametrize("modes", [0, 1, 2, 5])
     def test_trajectory_shapes(self, modes):
         traj = simulate_moments(damped_mode(1.0, n=modes), t_final=0.3, dt=0.1)
@@ -416,13 +431,39 @@ def assert_matches_stage_form(dyn, t_final, dt, mean0, cov0):
     return traj
 
 
+def assert_diverges_like_stage_form(dim):
+    unstable = LinearDynamics(
+        a=5.0 * np.eye(dim),
+        b_ext=np.zeros((dim, 0)),
+        c_ext=np.zeros((0, dim)),
+        d_ext=np.zeros((0, 0)),
+    )
+    mean0 = np.ones(dim)
+    with pytest.raises(DivergenceError) as ref:
+        stage_form_moments(unstable, 400.0, 0.5, mean0, 0.5 * np.eye(dim))
+    with pytest.raises(DivergenceError) as info:
+        simulate_moments(unstable, t_final=400.0, dt=0.5, mean0=mean0)
+    assert info.value.time == ref.value.time
+
+
 class TestStepMapAgainstStageForm:
     # State dimensions are even (quadrature pairs): one mode, two modes,
-    # the demo's size and the larger benchmark size.
-    @pytest.mark.parametrize("dim", [2, 4, 10, 34])
+    # the demo's size, each side of the step-form cutoff and the larger
+    # benchmark size.
+    @pytest.mark.parametrize("dim", [2, 4, 10, PACKED_DIM, SPLIT_DIM, 34])
     def test_random_drift_and_initial_moments(self, dim):
         rng = np.random.default_rng(340 + dim)
         dyn, mean0, cov0 = random_moments_case(rng, dim)
+        assert_matches_stage_form(dyn, 0.4, 1e-3, mean0, cov0)
+
+    def test_cutoff_lies_between_the_tested_dimensions(self):
+        assert PACKED_DIM <= verify._KRON_STEP_MAX_DIM < SPLIT_DIM
+
+    def test_split_step_at_the_demo_dimension(self, monkeypatch):
+        # both step forms at one dimension, each against the stage form
+        monkeypatch.setattr(verify, "_KRON_STEP_MAX_DIM", -1)
+        rng = np.random.default_rng(350)
+        dyn, mean0, cov0 = random_moments_case(rng, 10)
         assert_matches_stage_form(dyn, 0.4, 1e-3, mean0, cov0)
 
     def test_non_normal_drift(self):
@@ -461,18 +502,10 @@ class TestStepMapAgainstStageForm:
         assert_matches_stage_form(dyn, 0.5, 1e-3, mean0, 0.5 * np.eye(dyn.dim))
 
     def test_divergence_time_matches_stage_form(self):
-        unstable = LinearDynamics(
-            a=5.0 * np.eye(2),
-            b_ext=np.zeros((2, 0)),
-            c_ext=np.zeros((0, 2)),
-            d_ext=np.zeros((0, 0)),
-        )
-        mean0 = np.array([1.0, 1.0])
-        with pytest.raises(DivergenceError) as ref:
-            stage_form_moments(unstable, 400.0, 0.5, mean0, 0.5 * np.eye(2))
-        with pytest.raises(DivergenceError) as info:
-            simulate_moments(unstable, t_final=400.0, dt=0.5, mean0=mean0)
-        assert info.value.time == ref.value.time
+        assert_diverges_like_stage_form(2)
+
+    def test_divergence_time_matches_stage_form_in_the_split_step(self):
+        assert_diverges_like_stage_form(SPLIT_DIM)
 
 
 class TestCompareTrajectories:
