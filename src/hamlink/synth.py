@@ -292,6 +292,19 @@ def synthesize(
             f"channel {i + 1}: y1*y2 = -1 makes the gain equation "
             f"unsolvable for a nonzero coupling value"
         )
+    # p is orthogonal symplectic, so x = p.T x0 p, where x0 carries the
+    # block [[0, -y2], [y1, 0]] on each channel's quadrature pair.  A block
+    # of x0 + I has the singular values (hypot(2, y1 + y2) +- |y1 - y2|)/2:
+    # their product is |den| and their squares sum to 2 + y1^2 + y2^2.  The
+    # smaller is taken as |den| over the larger, which cannot cancel.  An
+    # extreme but finite diagonal can overflow s_max or cond, which then
+    # reads inf and is refused here, before any gain is built from it.
+    with np.errstate(over="ignore"):
+        s_max = 0.5 * (np.abs(y1 - y2) + np.hypot(2.0, y1 + y2))
+        s_min = np.min(np.abs(den) / s_max, initial=np.inf)
+        cond = np.max(s_max, initial=1.0) / s_min if s_min else np.inf
+    refuse_ill_conditioned(cond, "X + I")
+
     # Idle channel (y1*y2 = -1, zero coupling values): any gain works; zero
     # keeps it decoupled.  The loop matrix itself is still singular at the
     # Cayley step.
@@ -313,16 +326,7 @@ def synthesize(
     y = 0.5 * (y + y.T)
     x = -j_times(y)
 
-    # Cayley step per channel.  p is orthogonal symplectic, so x = p.T x0 p,
-    # where x0 carries the block [[0, -y2], [y1, 0]] on each channel's
-    # quadrature pair, and sigma = (x - I)(x + I)^-1 = p.T sigma0 p.  A
-    # block of x0 + I has the singular values (hypot(2, y1 + y2) +- |y1 - y2|)/2:
-    # their product is |den| and their squares sum to 2 + y1^2 + y2^2.  The
-    # smaller is taken as |den| over the larger, which cannot cancel.
-    s_max = 0.5 * (np.abs(y1 - y2) + np.hypot(2.0, y1 + y2))
-    s_min = np.min(np.abs(den) / s_max, initial=np.inf)
-    cond = np.max(s_max, initial=1.0) / s_min if s_min else np.inf
-    refuse_ill_conditioned(cond, "X + I")
+    # Cayley step per channel: sigma = (x - I)(x + I)^-1 = p.T sigma0 p.
     # Each block of sigma0 solves (X0 + I)^T S = (X0 - I)^T for S = sigma0^T
     # by Gaussian elimination with partial pivoting.  The rows of the
     # augmented system are (1, y1 | -1, y1) and (-y2, 1 | -y2, -1), and the

@@ -57,12 +57,22 @@ _DIVERGENCE_CHECK_STEPS = 64
 # Largest state dimension stepped by the packed Kronecker matrix; larger ones
 # take the split step.  The packed matrix has about dim**4 / 4 entries, while
 # the split step costs four numpy calls of fixed overhead plus about 6 dim**3
-# multiply-adds.  Measured per step, split / Kronecker in microseconds
-# (2-CPU Xeon, numpy 2.4.6, OpenBLAS at one thread, 2000 steps, best of 5):
-# dim 10 11 / 4.0, dim 14 12 / 5.8, dim 16 13-14 / 9.1, dim 18 10-15 / 9-13,
-# dim 20 10-17 / 13-19, dim 34 33 / 196.  Dimension 18 is too close to call
-# and the Kronecker cost grows fastest, so the cutoff is 16.
+# multiply-adds.  Measured per step with the stacked powers below, split /
+# packed in microseconds (2-CPU Xeon, numpy 2.4.6, OpenBLAS at one thread,
+# 2000 steps, best of 9 in each of three to five runs): dim 10 6.2-8.9 /
+# 1.6-2.5, dim 14 7.8-13.3 / 5.0-6.1, dim 16 8.0-13.7 / 6.1-9.1, dim 18
+# 8.7-14.8 / 8.1-13.0, dim 20 9.7-15.7 / 15.5-21.2, dim 34 28-32 / 201-216.
+# Dimension 18 is too close to call and the packed cost grows fastest, so
+# the cutoff is 16.
 _KRON_STEP_MAX_DIM = 16
+# Most rows of the stacked step-matrix powers that one np.dot of the packed
+# step multiplies (see _step_powers).  Measured on the same host, median
+# milliseconds of a 2000-step simulate_moments at dim 10 / 14 / 16 (21
+# runs): one step per product 7.1 / 13.7 / 17.7; 512 rows 5.2 / 12.0 /
+# 16.5; 1024 rows 4.7 / 12.1 / 17.0; 1536 rows 4.8 / 12.0 / 20.3; 2048 rows
+# 4.7 / 18.0 / 20.8.  Past 1024 rows the stack of dim 14 or 16 grows to
+# 1.5 MB or more and a product slows more than the calls it saves.
+_POWER_STACK_ROWS = 1024
 # Largest trajectory simulate_moments stores, in floats: (n_steps + 1)
 # samples of a time, an augmented moment matrix and a copied mean,
 # 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB, and a
@@ -252,11 +262,17 @@ def simulate_moments(
 
     The form of a step depends only on the state dimension.  Up to
     _KRON_STEP_MAX_DIM (16), where numpy's per-call overhead outweighs the
-    arithmetic, the whole affine step is one (dim + 1)(dim + 2)/2 square
-    matrix on the packed upper triangle of z, built once from the split
-    factors (see _packed_step_matrix).  A step is then one matrix-vector
-    product into a buffer that holds one block of divergence-check steps,
-    and one np.take per block expands the packed rows into the stored z.
+    arithmetic, the whole affine step is one s x s matrix K on the packed
+    upper triangle of z, s = (dim + 1)(dim + 2)/2, built once from the split
+    factors (see _packed_step_matrix).  Its powers K, ..., K^B are stacked
+    once per call, so one matrix-vector product of the first n s rows
+    advances the packed state n <= B steps, written into a buffer that
+    holds one block of divergence-check steps; one np.take per block
+    expands the packed rows into the stored z.  B is the largest power of
+    two up to that block whose stack has at most _POWER_STACK_ROWS (1024)
+    rows and no more rows than the run has steps, cut before the first
+    power with a non-finite entry (see _step_powers); B = 1 is one product
+    per step.
     Larger states take the split step itself: two matrix products, an
     addition and a transposed addition, each written into a preallocated
     buffer.  Either way every sample is exactly symmetric by construction.
@@ -347,8 +363,10 @@ def simulate_moments(
     packed = dim <= _KRON_STEP_MAX_DIM
     if packed:
         k_p, expand = _packed_step_matrix(left, rhat, half_c)
+        powers = _step_powers(k_p, n_steps)
         zp = np.empty((_DIVERGENCE_CHECK_STEPS + 1, k_p.shape[0]))
         zp[0] = z[0][np.triu_indices(aug)]
+        chunks = _chunk_views(powers, zp, _DIVERGENCE_CHECK_STEPS)
     else:
         stack = np.empty((3, aug, aug))
         stack2d = stack.reshape(3 * aug, aug)
@@ -362,8 +380,10 @@ def simulate_moments(
             count = min(_DIVERGENCE_CHECK_STEPS, n_steps - start)
             block = z[start + 1 : start + 1 + count].reshape(count, -1)
             if packed:
-                for zk, znext in zip(zp, zp[1 : count + 1]):
-                    np.dot(k_p, zk, out=znext)
+                if count < _DIVERGENCE_CHECK_STEPS:
+                    chunks = _chunk_views(powers, zp, count)
+                for rows, zk, znext in chunks:
+                    np.dot(rows, zk, out=znext)
                 # The indices are in range by construction; "clip" lets
                 # take write straight into the block instead of a copy.
                 np.take(zp[1 : count + 1], expand, axis=1, out=block, mode="clip")
@@ -415,6 +435,54 @@ def _packed_step_matrix(
     np.add.at(k_p.T, expand, upper.T)
     k_p[:, -1] += (half_c + half_c.T)[rows, cols]
     return k_p, expand
+
+
+def _step_powers(k_p: np.ndarray, n_steps: int) -> np.ndarray:
+    """The stacked powers [K, K^2, ..., K^b] of the packed step matrix K.
+
+    For K of shape s x s, b is the largest power of two that is at most
+    _DIVERGENCE_CHECK_STEPS and keeps the stack's b * s rows within both
+    _POWER_STACK_ROWS and n_steps.  The second bound keeps the doubling
+    cheaper than the run: its b - 1 products of s**3 multiply-adds cost no
+    more than the n_steps matrix-vector products of s**2 that it batches.
+    K^(h+1), ..., K^(2h) are one batched product of K, ..., K^h with K^h.
+    The stack ends before its first power with a non-finite entry: such a
+    power times a zero entry of the state gives NaN where stepping one at a
+    time stays finite.  K itself is always kept, so b = 1 is the plain step.
+    """
+    s = k_p.shape[0]
+    b = 1
+    while 2 * b <= _DIVERGENCE_CHECK_STEPS and 2 * b * s <= min(
+        _POWER_STACK_ROWS, n_steps
+    ):
+        b *= 2
+    powers = np.empty((b, s, s))
+    powers[0] = k_p
+    h = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while h < b:
+            np.matmul(powers[:h], powers[h - 1], out=powers[h : 2 * h])
+            finite = np.isfinite(powers[h : 2 * h]).all(axis=(1, 2))
+            if not finite.all():
+                return powers[: h + int(np.argmin(finite))]
+            h *= 2
+    return powers
+
+
+def _chunk_views(
+    powers: np.ndarray, zp: np.ndarray, count: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The np.dot operands that advance zp[0] by count steps, at most
+    len(powers) per product: for a chunk of n steps that starts at row j,
+    the first n * s rows of the stacked powers, zp[j], and rows j + 1 to
+    j + n of zp as one flat output."""
+    b, s, _ = powers.shape
+    flat = powers.reshape(b * s, s)
+    views = []
+    for j in range(0, count, b):
+        n = min(b, count - j)
+        views.append((flat[: n * s], zp[j], zp[j + 1 : j + 1 + n].reshape(-1)))
+    return views
 
 
 def compare_moment_trajectories(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hamlink import (
+    AlgebraicLoopError,
     FeedbackRealization,
     LinearDynamics,
     SynthOptions,
@@ -212,3 +213,16 @@ def test_overflowing_loop_diagonals_are_refused_by_name_without_a_warning(y):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=r"channel 1: y1\*y2 overflows"):
             synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, SynthOptions(y1=y, y2=y))
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_extreme_finite_loop_diagonals_are_refused_without_a_warning(big):
+    # y1*y2 = 1 passes the overflow refusal, but the singular values of
+    # X + I span more than the float range: cond(X + I) reads inf and is
+    # refused before any gain or coupling is built from it.
+    di = demo_problem().interaction
+    options = SynthOptions(y1=(big, 1.0), y2=(1.0 / big, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraicLoopError, match="condition number inf"):
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,134 @@ class TestStepMapAgainstStageForm:
 
     def test_divergence_time_matches_stage_form_in_the_split_step(self):
         assert_diverges_like_stage_form(SPLIT_DIM)
+
+
+def packed_size(dim):
+    """Rows of the packed step matrix: the upper triangle of z."""
+    return (dim + 1) * (dim + 2) // 2
+
+
+def full_stack(dim):
+    """Steps per product of a run long enough for the whole stack: the
+    largest power of two up to one divergence-check block whose rows fit
+    the row budget."""
+    b = 1
+    while (
+        2 * b <= verify._DIVERGENCE_CHECK_STEPS
+        and 2 * b * packed_size(dim) <= verify._POWER_STACK_ROWS
+    ):
+        b *= 2
+    return b
+
+
+def record_stack_sizes(monkeypatch):
+    """Steps per product of every packed run that follows, in call order."""
+    sizes = []
+    original = verify._step_powers
+
+    def recording(k_p, n_steps):
+        powers = original(k_p, n_steps)
+        sizes.append(len(powers))
+        return powers
+
+    monkeypatch.setattr(verify, "_step_powers", recording)
+    return sizes
+
+
+def long_run_steps(dim, tail):
+    """A whole number of divergence-check blocks long enough for the full
+    stack, plus tail steps: the last block ends tail steps in, on or around
+    a chunk boundary."""
+    blocks = -(-full_stack(dim) * packed_size(dim) // verify._DIVERGENCE_CHECK_STEPS)
+    return blocks * verify._DIVERGENCE_CHECK_STEPS + tail
+
+
+class TestStackedStep:
+    # The packed step advances up to b steps per product with the stacked
+    # powers K, ..., K^b of its step matrix; every chunk size and block
+    # boundary must reproduce the stage form.
+    @pytest.mark.parametrize("dim", [2, 10])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    def test_short_runs(self, monkeypatch, dim, steps):
+        sizes = record_stack_sizes(monkeypatch)
+        rng = np.random.default_rng(360 + dim)
+        dyn, mean0, cov0 = random_moments_case(rng, dim)
+        traj = assert_matches_stage_form(dyn, steps * 1e-3, 1e-3, mean0, cov0)
+        assert len(traj.times) == steps + 1
+        # building the stack costs no more than the steps it batches
+        assert sizes[0] == 1 or sizes[0] * packed_size(dim) <= steps
+
+    @pytest.mark.parametrize("dim", [2, 10])
+    # the last block holds 1, b - 1, b, b + 1, 63 or 64 steps
+    @pytest.mark.parametrize(
+        "chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (0, 63), (0, 64)]
+    )
+    def test_last_block_ends_on_every_chunk_boundary(
+        self, monkeypatch, dim, chunks, extra
+    ):
+        b = full_stack(dim)
+        assert b > 1
+        steps = long_run_steps(dim, chunks * b + extra)
+        sizes = record_stack_sizes(monkeypatch)
+        rng = np.random.default_rng(370 + dim)
+        dyn, mean0, cov0 = random_moments_case(rng, dim)
+        traj = assert_matches_stage_form(dyn, steps * 1e-3, 1e-3, mean0, cov0)
+        assert len(traj.times) == steps + 1
+        assert sizes == [b]
+
+    def test_samples_are_symmetric_with_a_unit_corner(self, monkeypatch):
+        dim = 10
+        steps = long_run_steps(dim, 5)
+        sizes = record_stack_sizes(monkeypatch)
+        rng = np.random.default_rng(380)
+        dyn, mean0, cov0 = random_moments_case(rng, dim)
+        traj = simulate_moments(dyn, steps * 1e-3, 1e-3, mean0=mean0, cov0=cov0)
+        z = traj.covariances.base
+        assert sizes == [full_stack(dim)]
+        assert z.shape == (steps + 1, dim + 1, dim + 1)
+        assert np.array_equal(z, z.transpose(0, 2, 1))
+        assert np.all(z[:, dim, dim] == 1.0)
+
+    # 20 steps take single steps; the longer run would stack 64 powers.
+    @pytest.mark.parametrize("steps, stack", [(20, 1), (long_run_steps(4, 20), 15)])
+    def test_stack_ends_before_its_first_overflowing_power(
+        self, monkeypatch, steps, stack
+    ):
+        # Two modes have a covariance step of about 6.7e19 but hold no
+        # moments, and noise drives only the stable modes: the run stays
+        # finite.  K^15 is finite and K^16 overflows; an overflowed power
+        # times the zero moments would give NaN, a false divergence at the
+        # sixteenth step.
+        a = np.diag([1e5, 1e5, -0.1, -0.1])
+        b_ext = np.zeros((4, 2))
+        b_ext[2, 0] = b_ext[3, 1] = 1.0
+        dyn = LinearDynamics(
+            a=a, b_ext=b_ext, c_ext=np.zeros((0, 4)), d_ext=np.zeros((0, 2))
+        )
+        cov0 = np.diag([0.0, 0.0, 0.5, 0.5])
+        sizes = record_stack_sizes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = assert_matches_stage_form(dyn, float(steps), 1.0, np.zeros(4), cov0)
+        assert sizes == [stack]
+        assert np.all(traj.covariances[:, :2, :] == 0.0)
+
+    @pytest.mark.parametrize(
+        "dim", [verify._KRON_STEP_MAX_DIM - 2, verify._KRON_STEP_MAX_DIM]
+    )
+    def test_top_dimensions_take_single_steps_when_the_budget_says_so(
+        self, monkeypatch, dim
+    ):
+        s = packed_size(dim)
+        full = full_stack(dim)
+        sizes = record_stack_sizes(monkeypatch)
+        rng = np.random.default_rng(390 + dim)
+        dyn, mean0, cov0 = random_moments_case(rng, dim)
+        simulate_moments(dyn, long_run_steps(dim, 0) * 1e-3, 1e-3)
+        # the largest budget that leaves no room for a second power
+        monkeypatch.setattr(verify, "_POWER_STACK_ROWS", 2 * s - 1)
+        assert_matches_stage_form(dyn, 0.4, 1e-3, mean0, cov0)
+        assert sizes == [full, 1]
 
 
 class TestCompareTrajectories:
