@@ -51,28 +51,22 @@ __all__ = [
 # Rows of two trajectories compared at once, so the difference temporaries
 # stay a fixed size whatever the step count.
 _COMPARE_BLOCK_ROWS = 256
-# Integration steps between finiteness checks: a diverging run stops within
-# this many steps of its first overflow instead of at the end of its grid.
+# Most integration steps between finiteness checks, and so the largest
+# stride of the packed fill: a diverging run stops within this many steps of
+# its first overflow instead of at the end of its grid.
 _DIVERGENCE_CHECK_STEPS = 64
 # Largest state dimension stepped by the packed Kronecker matrix; larger ones
 # take the split step.  The packed matrix has about dim**4 / 4 entries, while
 # the split step costs four numpy calls of fixed overhead plus about 6 dim**3
-# multiply-adds.  Measured per step with the stacked powers below, split /
-# packed in microseconds (2-CPU Xeon, numpy 2.4.6, OpenBLAS at one thread,
-# 2000 steps, best of 9 in each of three to five runs): dim 10 6.2-8.9 /
-# 1.6-2.5, dim 14 7.8-13.3 / 5.0-6.1, dim 16 8.0-13.7 / 6.1-9.1, dim 18
-# 8.7-14.8 / 8.1-13.0, dim 20 9.7-15.7 / 15.5-21.2, dim 34 28-32 / 201-216.
-# Dimension 18 is too close to call and the packed cost grows fastest, so
-# the cutoff is 16.
-_KRON_STEP_MAX_DIM = 16
-# Most rows of the stacked step-matrix powers that one np.dot of the packed
-# step multiplies (see _step_powers).  Measured on the same host, median
-# milliseconds of a 2000-step simulate_moments at dim 10 / 14 / 16 (21
-# runs): one step per product 7.1 / 13.7 / 17.7; 512 rows 5.2 / 12.0 /
-# 16.5; 1024 rows 4.7 / 12.1 / 17.0; 1536 rows 4.8 / 12.0 / 20.3; 2048 rows
-# 4.7 / 18.0 / 20.8.  Past 1024 rows the stack of dim 14 or 16 grows to
-# 1.5 MB or more and a product slows more than the calls it saves.
-_POWER_STACK_ROWS = 1024
+# multiply-adds.  Measured with the packed fill below, split / packed
+# milliseconds of one simulate_moments (2-CPU Xeon, numpy 2.4.6, OpenBLAS at
+# one thread, medians of 15 runs in shuffled order).  2000 steps: dim 10
+# 11.1 / 1.7, 14 13.2 / 3.6, 16 14.9 / 6.0, 18 16.9 / 8.7, 20 17.8 / 11.6,
+# 22 20.2 / 16.4, 24 35.2 / 30.2, 34 42 / 295 (5 runs).  500 steps: dim
+# 16 4.4 / 4.0, 18 4.2 / 3.6, 20 4.5 / 5.1, 22 5.2 / 7.9, 24 9.7 / 20.9.
+# Past 20 the packed step gains little on long runs and loses much on
+# shorter ones.
+_KRON_STEP_MAX_DIM = 20
 # Largest trajectory simulate_moments stores, in floats: (n_steps + 1)
 # samples of a time, an augmented moment matrix and a copied mean,
 # 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB, and a
@@ -261,18 +255,20 @@ def simulate_moments(
     column is R_0 mu + mu/2 = T_4 mu and whose corner stays exactly 1.
 
     The form of a step depends only on the state dimension.  Up to
-    _KRON_STEP_MAX_DIM (16), where numpy's per-call overhead outweighs the
-    arithmetic, the whole affine step is one s x s matrix K on the packed
+    _KRON_STEP_MAX_DIM (20), where numpy's per-call overhead outweighs the
+    arithmetic, the whole affine step is one s x s matrix M on the packed
     upper triangle of z, s = (dim + 1)(dim + 2)/2, built once from the split
-    factors (see _packed_step_matrix).  Its powers K, ..., K^B are stacked
-    once per call, so one matrix-vector product of the first n s rows
-    advances the packed state n <= B steps, written into a buffer that
-    holds one block of divergence-check steps; one np.take per block
-    expands the packed rows into the stored z.  B is the largest power of
-    two up to that block whose stack has at most _POWER_STACK_ROWS (1024)
-    rows and no more rows than the run has steps, cut before the first
-    power with a non-finite entry (see _step_powers); B = 1 is one product
-    per step.
+    factors (see _packed_step_matrix), and the trajectory is filled by
+    doubling: once states 0 .. h - 1 are known, one matrix-matrix product
+    of their packed rows with M^h gives states h .. 2h - 1, and squaring
+    M^h gives the next power.  Once h reaches the stride B, each product
+    advances the last B states by B steps, alternating between the halves
+    of a 2B-row packed buffer; each product's rows are checked for
+    finiteness and expanded into the stored z with one np.take.  B is the
+    largest power of two up to _DIVERGENCE_CHECK_STEPS (64) whose log2(B)
+    squarings cost at most 2**16 multiply-adds per step of the run, cut at
+    the last power before one with a non-finite entry (see _step_powers);
+    B = 1 is one matrix-vector product per step.
     Larger states take the split step itself: two matrix products, an
     addition and a transposed addition, each written into a preallocated
     buffer.  Either way every sample is exactly symmetric by construction.
@@ -281,10 +277,10 @@ def simulate_moments(
 
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
-    disagree.  A grid whose trajectory would exceed 2**27 floats (1 GiB) is
-    refused with ValidationError before anything is allocated.  Raises
-    DivergenceError with the time of the first non-finite sample when the
-    state leaves floating-point range.
+    disagree.  A grid of no steps, or one whose trajectory would exceed
+    2**27 floats (1 GiB), is refused with ValidationError before anything
+    is allocated.  Raises DivergenceError with the time of the first
+    non-finite sample when the state leaves floating-point range.
     """
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be positive, got {t_final}")
@@ -296,7 +292,11 @@ def simulate_moments(
     if b_ext.shape[0] != dim:
         raise ValidationError(f"b_ext must have {dim} rows, got {b_ext.shape[0]}")
     # Rounded as a float first: t_final / dt can overflow to infinity.
-    steps = max(1.0, float(np.rint(t_final / dt)))
+    steps = float(np.rint(t_final / dt))
+    if steps < 1:
+        raise ValidationError(
+            f"t_final / dt = {t_final:g} / {dt:g} rounds to 0 steps"
+        )
     sample_floats = 1 + (dim + 1) ** 2 + dim  # time, z and the mean copy
     if (steps + 1) * sample_floats > _MAX_TRAJECTORY_FLOATS:
         raise ValidationError(
@@ -362,41 +362,47 @@ def simulate_moments(
     z[0, dim, dim] = 1.0
     packed = dim <= _KRON_STEP_MAX_DIM
     if packed:
-        k_p, expand = _packed_step_matrix(left, rhat, half_c)
-        powers = _step_powers(k_p, n_steps)
-        zp = np.empty((_DIVERGENCE_CHECK_STEPS + 1, k_p.shape[0]))
+        step, expand = _packed_step_matrix(left, rhat, half_c)
+        powers = _step_powers(step, n_steps)
+        b = 2 ** (len(powers) - 1)
+        zp = np.empty((2 * b, step.shape[0]))
         zp[0] = z[0][np.triu_indices(aug)]
-        chunks = _chunk_views(powers, zp, _DIVERGENCE_CHECK_STEPS)
+        flat = z.reshape(n_steps + 1, -1)
     else:
         stack = np.empty((3, aug, aug))
         stack2d = stack.reshape(3 * aug, aug)
         v = np.empty((aug, aug))
 
-    # Divergence is detected by a finiteness check after each block of
-    # steps, so the overflow that precedes it is expected and not worth a
-    # warning.  The first non-finite sample of the block gives the time.
+    # Divergence is detected by a finiteness check after each product or
+    # block of steps, so the overflow that precedes it is expected and not
+    # worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, _DIVERGENCE_CHECK_STEPS):
-            count = min(_DIVERGENCE_CHECK_STEPS, n_steps - start)
-            block = z[start + 1 : start + 1 + count].reshape(count, -1)
-            if packed:
-                if count < _DIVERGENCE_CHECK_STEPS:
-                    chunks = _chunk_views(powers, zp, count)
-                for rows, zk, znext in chunks:
-                    np.dot(rows, zk, out=znext)
+        if packed:
+            # States 0 .. done - 1 are known, state i in row i mod 2b of zp.
+            # One product of the last h of them with M^h writes the next h:
+            # h doubles until it reaches the stride b.
+            done = 1
+            while done <= n_steps:
+                h = min(done, b)
+                n = min(h, n_steps + 1 - done)
+                src, dst = (done - h) % (2 * b), done % (2 * b)
+                block = zp[dst : dst + n]
+                np.dot(zp[src : src + n], powers[h.bit_length() - 1], out=block)
+                _check_finite(block, done, dt)
                 # The indices are in range by construction; "clip" lets
-                # take write straight into the block instead of a copy.
-                np.take(zp[1 : count + 1], expand, axis=1, out=block, mode="clip")
-                zp[0] = zp[count]
-            else:
+                # take write straight into z instead of a copy.
+                np.take(block, expand, axis=1, out=flat[done : done + n], mode="clip")
+                done += n
+        else:
+            for start in range(0, n_steps, _DIVERGENCE_CHECK_STEPS):
+                count = min(_DIVERGENCE_CHECK_STEPS, n_steps - start)
                 for zk, znext in zip(z[start : start + count], z[start + 1 :]):
                     np.matmul(zk, rhat, out=stack)
                     np.matmul(left, stack2d, out=v)
                     v += half_c
                     np.add(v, v.T, out=znext)
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                raise DivergenceError((start + 1 + int(np.argmin(finite))) * dt)
+                block = z[start + 1 : start + 1 + count].reshape(count, -1)
+                _check_finite(block, start + 1, dt)
 
     # The mean gets its own array rather than a strided view of z.  Freed
     # with z, it leaves each trajectory's heap space large enough for the
@@ -408,20 +414,29 @@ def simulate_moments(
     )
 
 
+def _check_finite(block: np.ndarray, first: int, dt: float) -> None:
+    """Raise DivergenceError at the time of the first row of block, sample
+    first onward, with a non-finite entry."""
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise DivergenceError((first + int(np.argmin(finite))) * dt)
+
+
 def _packed_step_matrix(
     left: np.ndarray, rhat: np.ndarray, half_c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The split step z <- V + V.T, V = sum_i L_i z rhat_i + c/2, as one
-    matrix on the packed upper triangle of z.
+    matrix M on the packed upper triangle of z, acting on packed rows:
+    zp <- zp @ M.
 
-    With row-major vec, vec(L z rhat) = kron(L, rhat.T) vec(z) (Van Loan, The
-    ubiquitous Kronecker product, J. Comput. Appl. Math. 123, 2000).  Adding
-    the transposed rows gives V + V.T; keeping the rows of the upper
-    triangle and adding each (i, j) column to its (j, i) column gives the
-    map on the packed triangle, and the constant c enters through the
-    column of the corner entry, which is always 1 and packed last.  Returns
-    that matrix and the packed index of every entry of z, so that
-    z.ravel() = zp[expand].
+    Row k of M is the packed step of the k-th basis matrix of symmetric z,
+    e_i e_j.T + e_j e_i.T for the k-th entry (i, j) of the upper triangle.
+    With a_i = [L_0[:, i], L_1[:, i], L_2[:, i]] and b_j the rows j of the
+    rhat_i stacked, its V is a_i b_j + a_j b_i (half that when i = j), so
+    two batched matrix products give every basis matrix's V at once.  The
+    constant c enters through the row of the corner entry, which is always
+    1 and packed last.  Returns M and the packed index of every entry of z,
+    so that z.ravel() = zp[expand].
     """
     aug = half_c.shape[0]
     rows, cols = np.triu_indices(aug)
@@ -429,60 +444,43 @@ def _packed_step_matrix(
     index[rows, cols] = np.arange(rows.size)
     index[cols, rows] = index[rows, cols]
     expand = index.ravel()
-    kron = np.einsum("aic,idb->abcd", left.reshape(aug, 3, aug), rhat)
-    upper = (kron + kron.transpose(1, 0, 2, 3))[rows, cols].reshape(rows.size, -1)
-    k_p = np.zeros((rows.size, rows.size))
-    np.add.at(k_p.T, expand, upper.T)
-    k_p[:, -1] += (half_c + half_c.T)[rows, cols]
-    return k_p, expand
+    a = left.reshape(aug, 3, aug).transpose(2, 0, 1)
+    b = rhat.transpose(1, 0, 2)
+    v = a[rows] @ b[cols] + a[cols] @ b[rows]
+    v[rows == cols] *= 0.5
+    step = v[:, rows, cols] + v[:, cols, rows]
+    step[-1] += (half_c + half_c.T)[rows, cols]
+    return step, expand
 
 
-def _step_powers(k_p: np.ndarray, n_steps: int) -> np.ndarray:
-    """The stacked powers [K, K^2, ..., K^b] of the packed step matrix K.
+def _step_powers(step: np.ndarray, n_steps: int) -> list[np.ndarray]:
+    """The squarings [M, M^2, M^4, ..., M^b] of the s x s packed step
+    matrix M; b is the stride of the packed fill.
 
-    For K of shape s x s, b is the largest power of two that is at most
-    _DIVERGENCE_CHECK_STEPS and keeps the stack's b * s rows within both
-    _POWER_STACK_ROWS and n_steps.  The second bound keeps the doubling
-    cheaper than the run: its b - 1 products of s**3 multiply-adds cost no
-    more than the n_steps matrix-vector products of s**2 that it batches.
-    K^(h+1), ..., K^(2h) are one batched product of K, ..., K^h with K^h.
-    The stack ends before its first power with a non-finite entry: such a
-    power times a zero entry of the state gives NaN where stepping one at a
-    time stays finite.  K itself is always kept, so b = 1 is the plain step.
+    b is the largest power of two up to _DIVERGENCE_CHECK_STEPS and
+    n_steps (a longer stride is never used) whose log2(b) squarings, s**3
+    multiply-adds each, come to at most 2**16 multiply-adds per step of the
+    run, about what a step saves by being a row of a matrix-matrix product
+    rather than a call of its own.  Measured
+    (same host as _KRON_STEP_MAX_DIM, medians of 9 runs in shuffled order,
+    dims 2 to 20, 16 to 2000 steps): this b took at most 18% longer than
+    the fastest of b = 1, 4, 16 and 64, and mostly as long within noise.
+    The squarings stop before the first power with a non-finite entry: such
+    a power times a zero entry of the state gives NaN where stepping one at
+    a time stays finite.
     """
-    s = k_p.shape[0]
-    b = 1
-    while 2 * b <= _DIVERGENCE_CHECK_STEPS and 2 * b * s <= min(
-        _POWER_STACK_ROWS, n_steps
-    ):
-        b *= 2
-    powers = np.empty((b, s, s))
-    powers[0] = k_p
-    h = 1
+    s = step.shape[0]
+    powers = [step]
     with np.errstate(over="ignore", invalid="ignore"):
-        while h < b:
-            np.matmul(powers[:h], powers[h - 1], out=powers[h : 2 * h])
-            finite = np.isfinite(powers[h : 2 * h]).all(axis=(1, 2))
-            if not finite.all():
-                return powers[: h + int(np.argmin(finite))]
-            h *= 2
+        while (
+            2 ** len(powers) <= min(_DIVERGENCE_CHECK_STEPS, n_steps)
+            and len(powers) * s**3 <= 2**16 * n_steps
+        ):
+            square = powers[-1] @ powers[-1]
+            if not np.isfinite(square).all():
+                break
+            powers.append(square)
     return powers
-
-
-def _chunk_views(
-    powers: np.ndarray, zp: np.ndarray, count: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The np.dot operands that advance zp[0] by count steps, at most
-    len(powers) per product: for a chunk of n steps that starts at row j,
-    the first n * s rows of the stacked powers, zp[j], and rows j + 1 to
-    j + n of zp as one flat output."""
-    b, s, _ = powers.shape
-    flat = powers.reshape(b * s, s)
-    views = []
-    for j in range(0, count, b):
-        n = min(b, count - j)
-        views.append((flat[: n * s], zp[j], zp[j + 1 : j + 1 + n].reshape(-1)))
-    return views
 
 
 def compare_moment_trajectories(

@@ -334,6 +334,17 @@ class TestSimulate:
         assert "t_final / dt" in err
         assert out == ""
 
+    def test_horizon_shorter_than_half_a_step_is_exit_1(self, demo_paths, capsys):
+        # t_final / dt rounds to 0 steps: refused rather than run one step
+        # past the horizon
+        problem, _ = demo_paths
+        code, out, err = run(
+            ["simulate", str(problem), "--t-final", "1e-9", "--dt", "1"], capsys
+        )
+        assert code == 1
+        assert "t_final / dt" in err
+        assert out == ""
+
     def test_oversized_grid_in_verify_is_exit_1(self, demo_paths, capsys):
         problem, report = demo_paths
         run(["synth", str(problem)], capsys)

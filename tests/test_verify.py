@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from conftest import random_symmetric
@@ -36,8 +37,8 @@ from hamlink.verify import MomentTrajectory
 
 # State dimensions on each side of the cutoff between the packed Kronecker
 # step and the split step.
-PACKED_DIM = 16
-SPLIT_DIM = 18
+PACKED_DIM = 20
+SPLIT_DIM = 22
 
 
 def golden_pair():
@@ -346,6 +347,19 @@ class TestSimulateMoments:
         with pytest.raises(ValidationError, match="t_final / dt"):
             simulate_moments(damped_mode(1.0), t_final=t_final, dt=dt)
 
+    @pytest.mark.parametrize("t_final, dt", [(1e-9, 1.0), (0.5, 1.0)])
+    def test_rejects_a_grid_of_no_steps(self, monkeypatch, t_final, dt):
+        # t_final / dt rounds to 0: refused before anything is allocated,
+        # not integrated one step past the horizon
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("trajectory allocated before the grid check")
+
+        dyn = damped_mode(1.0)
+        monkeypatch.setattr(np, "empty", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValidationError, match="t_final / dt .* 0 steps"):
+            simulate_moments(dyn, t_final=t_final, dt=dt)
+
     def test_grid_cap_counts_the_stored_floats(self, monkeypatch):
         # At state dimension 4 a sample stores a time, a 5 x 5 augmented
         # moment matrix and a copied mean: 30 floats.  4.6e6 samples of the
@@ -449,9 +463,9 @@ def assert_diverges_like_stage_form(dim):
 
 class TestStepMapAgainstStageForm:
     # State dimensions are even (quadrature pairs): one mode, two modes,
-    # the demo's size, each side of the step-form cutoff and the larger
-    # benchmark size.
-    @pytest.mark.parametrize("dim", [2, 4, 10, PACKED_DIM, SPLIT_DIM, 34])
+    # the demo's size, the packed step's upper range up to PACKED_DIM, the
+    # split step just past the cutoff, and the larger benchmark size.
+    @pytest.mark.parametrize("dim", [2, 4, 10, 16, 18, PACKED_DIM, SPLIT_DIM, 34])
     def test_random_drift_and_initial_moments(self, dim):
         rng = np.random.default_rng(340 + dim)
         dyn, mean0, cov0 = random_moments_case(rng, dim)
@@ -514,97 +528,106 @@ def packed_size(dim):
     return (dim + 1) * (dim + 2) // 2
 
 
-def full_stack(dim):
-    """Steps per product of a run long enough for the whole stack: the
-    largest power of two up to one divergence-check block whose rows fit
-    the row budget."""
-    b = 1
-    while (
-        2 * b <= verify._DIVERGENCE_CHECK_STEPS
-        and 2 * b * packed_size(dim) <= verify._POWER_STACK_ROWS
-    ):
-        b *= 2
-    return b
+def kronecker_step_matrix(left, rhat, half_c):
+    """The packed step matrix K, acting on packed columns (zp <- K zp), built
+    from the Kronecker form vec(L z R) = kron(L, R.T) vec(z): the reference
+    for the basis-matrix construction in simulate_moments."""
+    aug = half_c.shape[0]
+    rows, cols = np.triu_indices(aug)
+    index = np.empty((aug, aug), dtype=np.intp)
+    index[rows, cols] = np.arange(rows.size)
+    index[cols, rows] = index[rows, cols]
+    expand = index.ravel()
+    kron = np.einsum("aic,idb->abcd", left.reshape(aug, 3, aug), rhat)
+    upper = (kron + kron.transpose(1, 0, 2, 3))[rows, cols].reshape(rows.size, -1)
+    k_p = np.zeros((rows.size, rows.size))
+    np.add.at(k_p.T, expand, upper.T)
+    k_p[:, -1] += (half_c + half_c.T)[rows, cols]
+    return k_p, expand
 
 
-def record_stack_sizes(monkeypatch):
-    """Steps per product of every packed run that follows, in call order."""
-    sizes = []
+def record_strides(monkeypatch):
+    """Stride of the packed fill of every run that follows, in call order."""
+    strides = []
     original = verify._step_powers
 
-    def recording(k_p, n_steps):
-        powers = original(k_p, n_steps)
-        sizes.append(len(powers))
+    def recording(step, n_steps):
+        powers = original(step, n_steps)
+        strides.append(2 ** (len(powers) - 1))
         return powers
 
     monkeypatch.setattr(verify, "_step_powers", recording)
-    return sizes
+    return strides
 
 
-def long_run_steps(dim, tail):
-    """A whole number of divergence-check blocks long enough for the full
-    stack, plus tail steps: the last block ends tail steps in, on or around
-    a chunk boundary."""
-    blocks = -(-full_stack(dim) * packed_size(dim) // verify._DIVERGENCE_CHECK_STEPS)
-    return blocks * verify._DIVERGENCE_CHECK_STEPS + tail
+# The largest stride, one divergence-check block.
+FULL_STRIDE = verify._DIVERGENCE_CHECK_STEPS
+
+
+def long_run_steps(tail):
+    """Steps of a run at the full stride whose doubling ends exactly, at
+    state 2 * FULL_STRIDE - 1, and whose stride products then hold tail
+    states."""
+    return 2 * FULL_STRIDE - 1 + tail
 
 
 class TestStackedStep:
-    # The packed step advances up to b steps per product with the stacked
-    # powers K, ..., K^b of its step matrix; every chunk size and block
-    # boundary must reproduce the stage form.
+    # The packed fill doubles the known states with the squarings M, M^2,
+    # M^4, ... of its step matrix until it reaches the stride b, then
+    # advances b states per product; every product size and boundary must
+    # reproduce the stage form.
     @pytest.mark.parametrize("dim", [2, 10])
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
     def test_short_runs(self, monkeypatch, dim, steps):
-        sizes = record_stack_sizes(monkeypatch)
+        strides = record_strides(monkeypatch)
         rng = np.random.default_rng(360 + dim)
         dyn, mean0, cov0 = random_moments_case(rng, dim)
         traj = assert_matches_stage_form(dyn, steps * 1e-3, 1e-3, mean0, cov0)
         assert len(traj.times) == steps + 1
-        # building the stack costs no more than the steps it batches
-        assert sizes[0] == 1 or sizes[0] * packed_size(dim) <= steps
+        # the squarings cost at most 2**16 multiply-adds per step of the run,
+        # and none builds a power longer than the run
+        assert np.log2(strides[0]) * packed_size(dim) ** 3 <= 2**16 * steps
+        assert strides[0] <= steps
 
     @pytest.mark.parametrize("dim", [2, 10])
-    # the last block holds 1, b - 1, b, b + 1, 63 or 64 steps
+    # the stride products after the doubling hold 1, b - 1, b or b + 1
+    # states, or 63 or 64, one short of and exactly one divergence-check
+    # block (the same as b - 1 and b at the full stride)
     @pytest.mark.parametrize(
         "chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (0, 63), (0, 64)]
     )
     def test_last_block_ends_on_every_chunk_boundary(
         self, monkeypatch, dim, chunks, extra
     ):
-        b = full_stack(dim)
-        assert b > 1
-        steps = long_run_steps(dim, chunks * b + extra)
-        sizes = record_stack_sizes(monkeypatch)
+        steps = long_run_steps(chunks * FULL_STRIDE + extra)
+        strides = record_strides(monkeypatch)
         rng = np.random.default_rng(370 + dim)
         dyn, mean0, cov0 = random_moments_case(rng, dim)
         traj = assert_matches_stage_form(dyn, steps * 1e-3, 1e-3, mean0, cov0)
         assert len(traj.times) == steps + 1
-        assert sizes == [b]
+        assert strides == [FULL_STRIDE]
 
     def test_samples_are_symmetric_with_a_unit_corner(self, monkeypatch):
         dim = 10
-        steps = long_run_steps(dim, 5)
-        sizes = record_stack_sizes(monkeypatch)
+        steps = long_run_steps(5)
+        strides = record_strides(monkeypatch)
         rng = np.random.default_rng(380)
         dyn, mean0, cov0 = random_moments_case(rng, dim)
         traj = simulate_moments(dyn, steps * 1e-3, 1e-3, mean0=mean0, cov0=cov0)
         z = traj.covariances.base
-        assert sizes == [full_stack(dim)]
+        assert strides == [FULL_STRIDE]
         assert z.shape == (steps + 1, dim + 1, dim + 1)
         assert np.array_equal(z, z.transpose(0, 2, 1))
         assert np.all(z[:, dim, dim] == 1.0)
 
-    # 20 steps take single steps; the longer run would stack 64 powers.
-    @pytest.mark.parametrize("steps, stack", [(20, 1), (long_run_steps(4, 20), 15)])
-    def test_stack_ends_before_its_first_overflowing_power(
-        self, monkeypatch, steps, stack
-    ):
+    # 20 steps end inside the doubling; 980 run on the stride.
+    @pytest.mark.parametrize("steps", [20, 980])
+    def test_stack_ends_before_its_first_overflowing_power(self, monkeypatch, steps):
         # Two modes have a covariance step of about 6.7e19 but hold no
         # moments, and noise drives only the stable modes: the run stays
-        # finite.  K^15 is finite and K^16 overflows; an overflowed power
+        # finite.  M^8 is finite and M^16 overflows; an overflowed power
         # times the zero moments would give NaN, a false divergence at the
-        # sixteenth step.
+        # sixteenth step, so the stride stays at 8.
         a = np.diag([1e5, 1e5, -0.1, -0.1])
         b_ext = np.zeros((4, 2))
         b_ext[2, 0] = b_ext[3, 1] = 1.0
@@ -612,29 +635,58 @@ class TestStackedStep:
             a=a, b_ext=b_ext, c_ext=np.zeros((0, 4)), d_ext=np.zeros((0, 2))
         )
         cov0 = np.diag([0.0, 0.0, 0.5, 0.5])
-        sizes = record_stack_sizes(monkeypatch)
+        strides = record_strides(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = assert_matches_stage_form(dyn, float(steps), 1.0, np.zeros(4), cov0)
-        assert sizes == [stack]
+        assert strides == [8]
         assert np.all(traj.covariances[:, :2, :] == 0.0)
 
     @pytest.mark.parametrize(
-        "dim", [verify._KRON_STEP_MAX_DIM - 2, verify._KRON_STEP_MAX_DIM]
+        "dim", [14, 16, verify._KRON_STEP_MAX_DIM - 2, verify._KRON_STEP_MAX_DIM]
     )
     def test_top_dimensions_take_single_steps_when_the_budget_says_so(
         self, monkeypatch, dim
     ):
-        s = packed_size(dim)
-        full = full_stack(dim)
-        sizes = record_stack_sizes(monkeypatch)
+        # The first squaring costs s**3 multiply-adds: a run of fewer than
+        # s**3 / 2**16 steps does not repay it and takes one product per
+        # step, and one step more takes the first squaring only.  A run of
+        # 2000 steps, the benchmark's grid, takes the full stride.
+        short = packed_size(dim) ** 3 // 2**16
+        strides = record_strides(monkeypatch)
         rng = np.random.default_rng(390 + dim)
         dyn, mean0, cov0 = random_moments_case(rng, dim)
-        simulate_moments(dyn, long_run_steps(dim, 0) * 1e-3, 1e-3)
-        # the largest budget that leaves no room for a second power
-        monkeypatch.setattr(verify, "_POWER_STACK_ROWS", 2 * s - 1)
-        assert_matches_stage_form(dyn, 0.4, 1e-3, mean0, cov0)
-        assert sizes == [full, 1]
+        assert_matches_stage_form(dyn, short * 1e-3, 1e-3, mean0, cov0)
+        simulate_moments(dyn, (short + 1) * 1e-3, 1e-3)
+        simulate_moments(dyn, 2.0, 1e-3)
+        assert strides == [1, 2, FULL_STRIDE]
+
+    # Even state dimensions from 2 to two past the cutoff, so the sweep also
+    # crosses into the split step, with random drift, noise and moments.
+    @given(
+        modes=st.integers(1, verify._KRON_STEP_MAX_DIM // 2 + 1),
+        steps=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_run_matches_stage_form(self, modes, steps, seed):
+        dim = 2 * modes
+        dyn, mean0, cov0 = random_moments_case(np.random.default_rng(seed), dim)
+        traj = assert_matches_stage_form(dyn, steps * 1e-3, 1e-3, mean0, cov0)
+        z = traj.covariances.base
+        assert np.array_equal(z, z.transpose(0, 2, 1))
+        assert np.all(z[:, dim, dim] == 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 10, verify._KRON_STEP_MAX_DIM])
+    def test_step_matrix_matches_the_kronecker_form(self, dim):
+        aug = dim + 1
+        rng = np.random.default_rng(395 + dim)
+        left = rng.normal(size=(aug, 3 * aug))
+        rhat = rng.normal(size=(3, aug, aug))
+        half_c = rng.normal(size=(aug, aug))
+        step, expand = verify._packed_step_matrix(left, rhat, half_c)
+        k_p, ref_expand = kronecker_step_matrix(left, rhat, half_c)
+        assert np.array_equal(expand, ref_expand)
+        assert np.max(np.abs(step - k_p.T)) <= 1e-15 * np.max(np.abs(k_p))
 
 
 class TestCompareTrajectories:
