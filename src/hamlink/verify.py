@@ -61,12 +61,13 @@ _DIVERGENCE_CHECK_STEPS = 64
 # multiply-adds.  Measured with the packed fill below, split / packed
 # milliseconds of one simulate_moments (2-CPU Xeon, numpy 2.4.6, OpenBLAS at
 # one thread, medians of 15 runs in shuffled order).  2000 steps: dim 10
-# 11.1 / 1.7, 14 13.2 / 3.6, 16 14.9 / 6.0, 18 16.9 / 8.7, 20 17.8 / 11.6,
-# 22 20.2 / 16.4, 24 35.2 / 30.2, 34 42 / 295 (5 runs).  500 steps: dim
-# 16 4.4 / 4.0, 18 4.2 / 3.6, 20 4.5 / 5.1, 22 5.2 / 7.9, 24 9.7 / 20.9.
-# Past 20 the packed step gains little on long runs and loses much on
-# shorter ones.
-_KRON_STEP_MAX_DIM = 20
+# 21.2 / 2.7, 14 24.0 / 5.2, 16 26.1 / 8.5, 18 30.9 / 12.1, 20 28.5 / 13.4.
+# 500 steps: dim 10 5.5 / 1.3, 14 6.9 / 3.9, 16 7.6 / 5.8, 18 8.7 / 7.0,
+# 20 7.9 / 7.7.  64 steps: dim 10 0.97 / 0.86, 14 1.07 / 1.45, 16 1.16 /
+# 2.0, 18 1.26 / 3.4, 20 1.16 / 4.4.  Long runs at 18 and 20 are faster
+# packed, but short ones lose more there than at 16 (the step matrix and
+# its squarings are paid on every call), so the cutoff stays 16.
+_KRON_STEP_MAX_DIM = 16
 # Largest trajectory simulate_moments stores, in floats: (n_steps + 1)
 # samples of a time, an augmented moment matrix and a copied mean,
 # 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB, and a
@@ -255,7 +256,7 @@ def simulate_moments(
     column is R_0 mu + mu/2 = T_4 mu and whose corner stays exactly 1.
 
     The form of a step depends only on the state dimension.  Up to
-    _KRON_STEP_MAX_DIM (20), where numpy's per-call overhead outweighs the
+    _KRON_STEP_MAX_DIM (16), where numpy's per-call overhead outweighs the
     arithmetic, the whole affine step is one s x s matrix M on the packed
     upper triangle of z, s = (dim + 1)(dim + 2)/2, built once from the split
     factors (see _packed_step_matrix), and the trajectory is filled by

@@ -1,20 +1,11 @@
-"""Shared random-matrix generators and the property-test profile for the
-test suite."""
+"""Shared random-matrix generators for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import settings
 from scipy.linalg import expm
 
 from hamlink import jmat
-
-# Property tests draw the same bounded set of examples on every run, so the
-# suite stays deterministic and its run time fixed.
-settings.register_profile(
-    "hamlink", derandomize=True, database=None, deadline=None, max_examples=100
-)
-settings.load_profile("hamlink")
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
