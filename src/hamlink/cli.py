@@ -150,6 +150,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if (args.problem is None) == (args.batch is None):
         _err("synth needs exactly one of a problem path or --batch DIR")
         return 1
+    if args.batch is not None and args.output:
+        _err("synth takes --output PATH or --batch DIR, not both")
+        return 1
     if args.batch is None:
         problem_path = Path(args.problem)
         out_path = (
@@ -225,6 +228,9 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.realization is not None and args.output:
+        _err("simulate takes --output PATH or --realization PATH, not both")
+        return 1
     problem = load_problem(args.problem)
     direct = direct_dynamics(problem.interaction)
     if args.realization is not None:
@@ -294,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument(
         "--output", "-o", metavar="PATH",
-        help="report path (default: problem path with .report.json)",
+        help="report path (default: problem path with .report.json; "
+        "not with --batch)",
     )
     p_synth.add_argument("--m", type=int, help="interconnection channel count")
     p_synth.add_argument("--y1", metavar="CSV", help="loop diagonal, first half")
@@ -347,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--output", "-o", metavar="PATH",
-        help="write the simulated trajectory as JSON (plain mode only)",
+        help="write the simulated trajectory as JSON (not with --realization)",
     )
     return parser
 

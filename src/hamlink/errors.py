@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HamlinkError",
+    "ValidationError",
+    "AlgebraicLoopError",
+    "InfeasibleChannelCountError",
+    "SingularParameterError",
+    "DivergenceError",
+]
+
 
 class HamlinkError(Exception):
     """Base class for every error raised by this package."""

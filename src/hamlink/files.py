@@ -34,8 +34,6 @@ __all__ = [
     "load_report",
     "save_report",
     "report_to_json",
-    "load_mixing_matrix",
-    "save_trajectory",
 ]
 
 PROBLEM_FORMAT = "hamlink-problem"

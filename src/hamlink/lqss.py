@@ -223,16 +223,18 @@ def direct_dynamics(interaction: DirectInteraction) -> LinearDynamics:
     return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
-def closed_loop_drift(
+def loop_solve_dynamics(
     r_a: np.ndarray,
     c_bar_a: np.ndarray,
+    d_bar_a: np.ndarray,
     c_a: np.ndarray,
     r_b: np.ndarray,
     c_bar_b: np.ndarray,
+    d_bar_b: np.ndarray,
     c_b: np.ndarray,
     sigma: np.ndarray,
-) -> np.ndarray:
-    """Drift of the loop-eliminated interconnection.
+) -> LinearDynamics:
+    """State-space form of the loop-eliminated interconnection.
 
     The arrays must already have consistent shapes; semantic properties
     (symmetry of r, symplecticity of sigma) are deliberately not enforced,
@@ -242,8 +244,8 @@ def closed_loop_drift(
     (I - sigma)^-1 sigma = (I - sigma)^-1 - I.  Each row block of the drift
     is then one product: -c_a# [u_a - c_a/2, u_b] for system A and
     -c_b# [u_a - c_a, u_b - c_b/2] for system B, plus the local drifts on
-    the diagonal.  Raises AlgebraicLoopError when I - sigma is singular or
-    ill-conditioned.
+    the diagonal.  The external ports (c_bar, d_bar) pass straight through.
+    Raises AlgebraicLoopError when I - sigma is singular or ill-conditioned.
     """
     u = guarded_solve(
         np.eye(sigma.shape[0]) - sigma,
@@ -251,16 +253,17 @@ def closed_loop_drift(
         "I - sigma (loop gain with an eigenvalue at or near one)",
     )
     k = c_a.shape[1]
-    out = np.empty((u.shape[1], u.shape[1]))
+    a = np.empty((u.shape[1], u.shape[1]))
     rows_a = u.copy()
     rows_a[:, :k] -= 0.5 * c_a
-    np.matmul(-sharp(c_a), rows_a, out=out[:k])
+    np.matmul(-sharp(c_a), rows_a, out=a[:k])
     u[:, :k] -= c_a
     u[:, k:] -= 0.5 * c_b
-    np.matmul(-sharp(c_b), u, out=out[k:])
-    out[:k, :k] += _drift(r_a, c_bar_a)
-    out[k:, k:] += _drift(r_b, c_bar_b)
-    return out
+    np.matmul(-sharp(c_b), u, out=a[k:])
+    a[:k, :k] += _drift(r_a, c_bar_a)
+    a[k:, k:] += _drift(r_b, c_bar_b)
+    b_ext, c_ext, d_ext = external_io(c_bar_a, d_bar_a, c_bar_b, d_bar_b)
+    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
 def skew_closed_loop_drift(
@@ -320,13 +323,11 @@ def feedback_closed_loop(
         raise ValidationError(
             f"sigma must be {width} x {width}, got {sigma.shape}"
         )
-    a = closed_loop_drift(
-        sys_a.r, sys_a.c_bar, sys_a.c, sys_b.r, sys_b.c_bar, sys_b.c, sigma
+    return loop_solve_dynamics(
+        sys_a.r, sys_a.c_bar, sys_a.d_bar, sys_a.c,
+        sys_b.r, sys_b.c_bar, sys_b.d_bar, sys_b.c,
+        sigma,
     )
-    b_ext, c_ext, d_ext = external_io(
-        sys_a.c_bar, sys_a.d_bar, sys_b.c_bar, sys_b.d_bar
-    )
-    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
 def realizability_defect(params: LqssParams) -> float:

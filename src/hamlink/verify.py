@@ -19,9 +19,8 @@ from .errors import DivergenceError, ValidationError
 from .lqss import (
     DirectInteraction,
     LinearDynamics,
-    closed_loop_drift,
     direct_dynamics,
-    external_io,
+    loop_solve_dynamics,
     skew_closed_loop_drift,
 )
 from .symcore import (
@@ -200,13 +199,11 @@ def closed_loop_dynamics(
             f"{fr.c_b.shape[1] // 2} modes, problem has "
             f"{di.sys_a.n} + {di.sys_b.n}"
         )
-    a = closed_loop_drift(
-        fr.r_a, di.sys_a.c, fr.c_a, fr.r_b, di.sys_b.c, fr.c_b, fr.sigma
+    return loop_solve_dynamics(
+        fr.r_a, di.sys_a.c, di.sys_a.d, fr.c_a,
+        fr.r_b, di.sys_b.c, di.sys_b.d, fr.c_b,
+        fr.sigma,
     )
-    b_ext, c_ext, d_ext = external_io(
-        di.sys_a.c, di.sys_a.d, di.sys_b.c, di.sys_b.d
-    )
-    return LinearDynamics(a=a, b_ext=b_ext, c_ext=c_ext, d_ext=d_ext)
 
 
 @dataclass(frozen=True)

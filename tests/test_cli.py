@@ -227,6 +227,20 @@ class TestBatch:
         code, _, err = run(["synth", "x.json", "--batch", str(tmp_path)], capsys)
         assert code == 1
 
+    def test_batch_and_output_conflict(self, tmp_path, capsys):
+        # A batch writes one report beside each problem, so a single -o
+        # path has no meaning: refused before any synthesis.
+        save_problem(demo_problem(), tmp_path / "solo.json")
+        out_path = tmp_path / "out.report.json"
+        code, out, err = run(
+            ["synth", "--batch", str(tmp_path), "-o", str(out_path)], capsys
+        )
+        assert code == 1
+        assert "--output" in err and "--batch" in err
+        assert out == ""
+        assert not out_path.exists()
+        assert not (tmp_path / "solo.report.json").exists()
+
 
 class TestVerify:
     def test_clean_report_passes(self, demo_paths, capsys):
@@ -368,6 +382,24 @@ class TestSimulate:
         assert code == 0
         assert "moment deviation" in out
         assert " ok" in out
+
+    def test_comparison_and_output_conflict(self, demo_paths, tmp_path, capsys):
+        # Comparison mode stores no trajectory, so -o would write nothing:
+        # refused before either document is loaded.
+        problem, report = demo_paths
+        run(["synth", str(problem)], capsys)
+        traj = tmp_path / "traj.json"
+        code, out, err = run(
+            [
+                "simulate", str(problem), "--realization", str(report),
+                "--t-final", "0.1", "--dt", "1e-3", "-o", str(traj),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "--output" in err and "--realization" in err
+        assert out == ""
+        assert not traj.exists()
 
     def test_comparison_failure_is_exit_3(self, demo_paths, capsys):
         problem, report = demo_paths

@@ -3,7 +3,8 @@ module multiplies by a dense J, channel synthesis has no Python loop, no
 module pays for a condition-number SVD or a LAPACK solve, the Cayley step
 of synthesis is closed form, the moment integrator's step loop only writes
 into preallocated buffers, inputs are validated once, where they enter, and
-each threshold and the residual scale are defined once, in symcore."""
+each threshold and the residual scale are defined once, in symcore, and
+each public name is declared once, in one module's __all__."""
 
 import ast
 import sys
@@ -351,3 +352,30 @@ def test_residual_scale_is_written_only_in_symcore_scale():
         if (lines := inline_scales(path.read_text()))
     }
     assert offenders == {}
+
+
+# The modules whose __all__ lists make up the package's public surface.
+SURFACE_MODULES = ("errors", "symcore", "lqss", "synth", "verify", "files", "demo")
+
+
+def test_public_surface_is_the_union_of_module_lists():
+    # Each public name is declared once, in one module's __all__; the
+    # package re-exports exactly those names, and a later star import
+    # does not shadow an earlier one.
+    assert len(hamlink.__all__) == len(set(hamlink.__all__))
+    owners = {}
+    for short in SURFACE_MODULES:
+        module = getattr(hamlink, short)
+        for name in module.__all__:
+            owners.setdefault(name, []).append(short)
+            assert getattr(hamlink, name) is getattr(module, name), name
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+    assert set(hamlink.__all__) == {"__version__", *owners}
+
+
+def test_document_helpers_stay_in_files():
+    # The CLI's helpers are importable from hamlink.files only.
+    for name in ("load_mixing_matrix", "save_trajectory"):
+        assert name not in hamlink.__all__
+        assert not hasattr(hamlink, name)
+        assert callable(getattr(hamlink.files, name))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from conftest import random_symmetric
+from conftest import random_coupling_of_rank, random_symmetric, random_symplectic
 from hamlink import (
     AlgebraicLoopError,
     DivergenceError,
@@ -170,19 +170,54 @@ class TestHandSolvableSingleMode:
         assert check_equivalence(di, fr).passed
 
 
+def seeded_pair(seed, n_a, n_b, rank, ports):
+    """A seeded random problem and its default realization.  Each system
+    has `ports` external channels with a random symplectic gain."""
+    rng = np.random.default_rng(seed)
+
+    def system(n):
+        return LqssParams(
+            n=n,
+            r=random_symmetric(rng, 2 * n),
+            c=rng.normal(size=(2 * ports, 2 * n)),
+            d=random_symplectic(rng, ports),
+        )
+
+    di = DirectInteraction(
+        sys_a=system(n_a),
+        sys_b=system(n_b),
+        r_ab=random_coupling_of_rank(rng, n_a, n_b, rank),
+    )
+    return di, synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+
+
+def assert_entry_points_agree(di, fr):
+    """closed_loop_dynamics and feedback_closed_loop give the same arrays."""
+    loose = closed_loop_dynamics(di, fr)
+    sys_a = TwoPortLqss(
+        n=di.sys_a.n, r=fr.r_a, c_bar=di.sys_a.c, d_bar=di.sys_a.d, c=fr.c_a
+    )
+    sys_b = TwoPortLqss(
+        n=di.sys_b.n, r=fr.r_b, c_bar=di.sys_b.c, d_bar=di.sys_b.d, c=fr.c_b
+    )
+    strict = feedback_closed_loop(sys_a, sys_b, fr.sigma)
+    for field in ("a", "b_ext", "c_ext", "d_ext"):
+        assert np.array_equal(getattr(loose, field), getattr(strict, field)), field
+
+
 class TestClosedLoopDynamics:
     def test_matches_container_assembly(self):
-        di, fr = golden_pair()
-        loose = closed_loop_dynamics(di, fr)
-        sys_a = TwoPortLqss(
-            n=di.sys_a.n, r=fr.r_a, c_bar=di.sys_a.c, d_bar=di.sys_a.d, c=fr.c_a
-        )
-        sys_b = TwoPortLqss(
-            n=di.sys_b.n, r=fr.r_b, c_bar=di.sys_b.c, d_bar=di.sys_b.d, c=fr.c_b
-        )
-        strict = feedback_closed_loop(sys_a, sys_b, fr.sigma)
-        assert np.array_equal(loose.a, strict.a)
-        assert np.array_equal(loose.b_ext, strict.b_ext)
+        assert_entry_points_agree(*golden_pair())
+
+    @pytest.mark.parametrize(
+        "seed, n_a, n_b, rank, ports",
+        [(41, 2, 3, 2, 1), (42, 3, 3, 3, 2), (43, 2, 2, 0, 1), (44, 2, 3, 2, 0)],
+        ids=["rank2", "rank3-two-ports", "m0", "no-ports"],
+    )
+    def test_matches_container_assembly_on_seeded_problems(
+        self, seed, n_a, n_b, rank, ports
+    ):
+        assert_entry_points_agree(*seeded_pair(seed, n_a, n_b, rank, ports))
 
     def test_accepts_corrupted_matrices(self):
         di, fr = golden_pair()
