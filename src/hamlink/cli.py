@@ -183,6 +183,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.simulate is None and args.sim_tol is not None:
+        _err("verify takes --sim-tol only with --simulate")
+        return 1
     problem = load_problem(args.problem)
     doc = load_report(args.report)
     report = check_equivalence(
@@ -197,11 +200,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             dt,
         )
         report = dataclasses.replace(
-            report, moment_residual=residual, moment_tol=args.sim_tol
+            report, moment_residual=residual, moment_tol=_sim_tol(args)
         )
     print(f"{args.report} against {args.problem}:")
     _print_report(report)
     return 0 if report.passed else 3
+
+
+def _sim_tol(args: argparse.Namespace) -> float:
+    """--sim-tol as given, or its default.  The flag defaults to None so that
+    a command can refuse it where no trajectory is compared."""
+    return SIM_TOL if args.sim_tol is None else args.sim_tol
 
 
 def cmd_example(args: argparse.Namespace) -> int:
@@ -231,6 +240,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.realization is not None and args.output:
         _err("simulate takes --output PATH or --realization PATH, not both")
         return 1
+    if args.realization is None and args.sim_tol is not None:
+        _err("simulate takes --sim-tol only with --realization")
+        return 1
     problem = load_problem(args.problem)
     direct = direct_dynamics(problem.interaction)
     if args.realization is not None:
@@ -239,12 +251,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         residual = compare_moment_trajectories(
             direct, closed, args.t_final, args.dt
         )
-        verdict = "ok" if residual <= args.sim_tol else "FAIL"
+        sim_tol = _sim_tol(args)
+        verdict = "ok" if residual <= sim_tol else "FAIL"
         print(
             f"max moment deviation over [0, {args.t_final:g}] at dt={args.dt:g}: "
-            f"{residual:.3e}  tol {args.sim_tol:g}  {verdict}"
+            f"{residual:.3e}  tol {sim_tol:g}  {verdict}"
         )
-        return 0 if residual <= args.sim_tol else 3
+        return 0 if residual <= sim_tol else 3
 
     traj = simulate_moments(direct, args.t_final, args.dt)
     final_mean = max_abs(traj.means[-1])
@@ -285,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim_tol = argparse.ArgumentParser(add_help=False)
     sim_tol.add_argument(
-        "--sim-tol", type=_tolerance, default=SIM_TOL,
+        "--sim-tol", type=_tolerance,
         help=f"absolute tolerance of a trajectory comparison (default {SIM_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command")

@@ -52,7 +52,9 @@ __all__ = [
 _COMPARE_BLOCK_ROWS = 256
 # Most integration steps between finiteness checks, and so the largest
 # stride of the packed fill: a diverging run stops within this many steps of
-# its first overflow instead of at the end of its grid.
+# its first overflow instead of at the end of its grid.  It is also the
+# interval of the stationarity test: a run whose state has become a fixed
+# point of the float step is copied from there on instead of stepped.
 _DIVERGENCE_CHECK_STEPS = 64
 # Largest state dimension stepped by the packed Kronecker matrix; larger ones
 # take the split step.  The packed matrix has about dim**4 / 4 entries, while
@@ -273,6 +275,16 @@ def simulate_moments(
     covariances is a view of the stored matrices; means is copied out of
     their last column once, after the loop.
 
+    A damped run soon reaches a float state that the step reproduces.  The
+    split step tests this at each finiteness check: once a block's last
+    state equals its predecessor bit for bit, it is a fixed point of the
+    step, and the rest of the trajectory is copies of it.  The packed fill
+    tests each full stride product: once one reproduces its source block bit
+    for bit, so would every later full product, and their rows are copied
+    from it; a last, shorter product still runs, since it need not round
+    like a full one.  The copies are exactly what stepping would store, not
+    values within a tolerance.
+
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
     disagree.  A grid of no steps, or one whose trajectory would exceed
@@ -391,6 +403,15 @@ def simulate_moments(
                 # take write straight into z instead of a copy.
                 np.take(block, expand, axis=1, out=flat[done : done + n], mode="clip")
                 done += n
+                if n == b and _same_bits(block, zp[src : src + n]):
+                    # The product reproduced its source: every later full
+                    # product would too, so their rows are copies.  A last,
+                    # shorter product still runs, as it need not round like
+                    # a full one.
+                    copies = (n_steps + 1 - done) // b
+                    tail = flat[done : done + copies * b]
+                    tail.reshape(copies, b, flat.shape[1])[:] = flat[done - b : done]
+                    done += copies * b
         else:
             for start in range(0, n_steps, _DIVERGENCE_CHECK_STEPS):
                 count = min(_DIVERGENCE_CHECK_STEPS, n_steps - start)
@@ -401,6 +422,11 @@ def simulate_moments(
                     np.add(v, v.T, out=znext)
                 block = z[start + 1 : start + 1 + count].reshape(count, -1)
                 _check_finite(block, start + 1, dt)
+                end = start + count
+                if _same_bits(z[end], z[end - 1]):
+                    # A fixed point of the step: the rest is copies of it.
+                    z[end + 1 :] = z[end]
+                    break
 
     # The mean gets its own array rather than a strided view of z.  Freed
     # with z, it leaves each trajectory's heap space large enough for the
@@ -410,6 +436,12 @@ def simulate_moments(
     return MomentTrajectory(
         times=times, means=z[:, :dim, dim].copy(), covariances=z[:, :dim, :dim]
     )
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """True when x and y hold the same floats bit for bit, so that a zero
+    and a negative zero differ."""
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 def _check_finite(block: np.ndarray, first: int, dt: float) -> None:

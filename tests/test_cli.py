@@ -272,6 +272,26 @@ class TestVerify:
         assert "moment_residual" in out
         assert "verdict: PASS" in out
 
+    def test_sim_tol_sets_the_moment_tolerance(self, demo_paths, capsys):
+        problem, report = demo_paths
+        run(["synth", str(problem)], capsys)
+        argv = ["verify", str(problem), str(report), "--simulate", "0.5", "1e-3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "tol 1e-06" in out
+        code, out, _ = run([*argv, "--sim-tol", "0"], capsys)
+        assert code == 3
+        assert "moment_residual" in out and "tol 0" in out
+
+    def test_sim_tol_without_simulate_is_exit_1(self, tmp_path, capsys):
+        # No trajectories are compared, so --sim-tol would be ignored:
+        # refused before either document is read (neither exists).
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(["verify", missing, missing, "--sim-tol", "1e-30"], capsys)
+        assert code == 1
+        assert "--sim-tol" in err and "--simulate" in err
+        assert out == ""
+
     def test_dimension_mismatch_is_exit_1(self, demo_paths, tmp_path, capsys):
         problem, report = demo_paths
         run(["synth", str(problem)], capsys)
@@ -382,6 +402,30 @@ class TestSimulate:
         assert code == 0
         assert "moment deviation" in out
         assert " ok" in out
+
+    def test_comparison_tolerance_is_sim_tol(self, demo_paths, capsys):
+        problem, report = demo_paths
+        run(["synth", str(problem)], capsys)
+        code, out, _ = run(
+            [
+                "simulate", str(problem), "--realization", str(report),
+                "--t-final", "0.5", "--dt", "1e-3", "--sim-tol", "0",
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert "tol 0  FAIL" in out
+
+    def test_sim_tol_without_realization_is_exit_1(self, tmp_path, capsys):
+        # A plain simulation compares nothing, so --sim-tol would be
+        # ignored: refused before the problem is read (it does not exist).
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(
+            ["simulate", missing, "--t-final", "0.01", "--sim-tol", "1e-30"], capsys
+        )
+        assert code == 1
+        assert "--sim-tol" in err and "--realization" in err
+        assert out == ""
 
     def test_comparison_and_output_conflict(self, demo_paths, tmp_path, capsys):
         # Comparison mode stores no trajectory, so -o would write nothing:

@@ -348,7 +348,10 @@ class TestSimulateMoments:
 
     def test_divergence_stops_early(self):
         # the covariance overflows at t = 85 of 20000; the run must stop
-        # near there rather than integrate the rest of its 40000 steps
+        # near there rather than integrate the rest of its 40000 steps.  The
+        # reference is an undamped rotation, which never becomes stationary
+        # and so steps its whole grid: a damped run reaches a fixed point
+        # and copies the rest.
         def timed_run(a, mean0):
             dyn = LinearDynamics(
                 a=a, b_ext=np.zeros((2, 0)), c_ext=np.zeros((0, 2)),
@@ -361,7 +364,7 @@ class TestSimulateMoments:
                 return time.perf_counter() - start, exc.time
             return time.perf_counter() - start, None
 
-        full, diverged = timed_run(-2.0 * np.eye(2), None)
+        full, diverged = timed_run(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.ones(2))
         assert diverged is None
         early, diverged = timed_run(5.0 * np.eye(2), np.array([1.0, 1.0]))
         assert diverged == 85.0
@@ -724,6 +727,129 @@ class TestStackedStep:
         k_p, ref_expand = kronecker_step_matrix(left, rhat, half_c)
         assert np.array_equal(expand, ref_expand)
         assert np.max(np.abs(step - k_p.T)) <= 1e-15 * np.max(np.abs(k_p))
+
+
+def record_checks(monkeypatch):
+    """(first sample, row count) of every finiteness check of the runs that
+    follow, in call order: the samples the run stepped rather than copied."""
+    checks = []
+    original = verify._check_finite
+
+    def recording(block, first, dt):
+        checks.append((first, len(block)))
+        original(block, first, dt)
+
+    monkeypatch.setattr(verify, "_check_finite", recording)
+    return checks
+
+
+def stepped_samples(checks):
+    return [i for first, rows in checks for i in range(first, first + rows)]
+
+
+def bits(x):
+    """The floats of x as integers, so that equality is bit for bit."""
+    return x.view(np.int64)
+
+
+# Damped runs at this step settle on a stationary float state within about
+# 400 steps (packed) or 200 steps (split).
+SETTLE_DT = 1e-2
+
+
+def settling_case(rng, dim):
+    """Modes with a random Hamiltonian, each damped at rate 40 through its
+    own vacuum channel, from zero mean and a random covariance."""
+    params = LqssParams(
+        n=dim // 2,
+        r=random_symmetric(rng, dim),
+        c=np.sqrt(40.0) * np.eye(dim),
+        d=np.eye(dim),
+    )
+    half = rng.normal(size=(dim, dim))
+    return system_dynamics(params), np.zeros(dim), 0.5 * np.eye(dim) + half @ half.T
+
+
+def assert_exact_samples(traj):
+    """Every stored augmented matrix is exactly symmetric with corner 1."""
+    z = traj.covariances.base
+    dim = traj.means.shape[1]
+    assert np.array_equal(bits(z), bits(z.transpose(0, 2, 1)))
+    assert np.all(z[:, dim, dim] == 1.0)
+    return z
+
+
+class TestStationaryTail:
+    # Once a run's float state repeats (a split step that reproduces its
+    # state, a packed stride product that reproduces its source block), the
+    # rest of its grid is copied.  The copies must be the stage form's
+    # trajectory, the exit must be taken, and a run that never settles must
+    # step its whole grid.  Grids end on and off a check or stride boundary.
+    @pytest.mark.parametrize("dim", [2, 10, PACKED_DIM])
+    @pytest.mark.parametrize("tail", [13 * FULL_STRIDE, 13 * FULL_STRIDE + 37])
+    def test_packed_run_copies_its_repeating_block(self, monkeypatch, dim, tail):
+        steps = long_run_steps(tail)
+        strides = record_strides(monkeypatch)
+        checks = record_checks(monkeypatch)
+        dyn, mean0, cov0 = settling_case(np.random.default_rng([410, dim]), dim)
+        traj = assert_matches_stage_form(dyn, steps * SETTLE_DT, SETTLE_DT, mean0, cov0)
+        z = assert_exact_samples(traj)
+        assert strides == [FULL_STRIDE]
+        stepped = stepped_samples(checks)
+        copied = sorted(set(range(1, steps + 1)) - set(stepped))
+        lo, hi = copied[0], copied[-1] + 1
+        assert stepped == list(range(1, lo)) + list(range(hi, steps + 1))
+        # each copied sample repeats the one a stride before it
+        assert np.array_equal(
+            bits(z[lo:hi]), bits(z[lo - FULL_STRIDE : hi - FULL_STRIDE])
+        )
+        # a shorter last product still runs when the grid ends off a stride
+        ends_on_stride = (steps + 1) % FULL_STRIDE == 0
+        assert (hi == steps + 1) == ends_on_stride
+
+    # Dimensions past the cutoff, and the demo's with the cutoff moved below
+    # it so that it takes the split step too.
+    @pytest.mark.parametrize(
+        "dim, cutoff",
+        [
+            (SPLIT_DIM, verify._KRON_STEP_MAX_DIM),
+            (34, verify._KRON_STEP_MAX_DIM),
+            (10, -1),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [15 * FULL_STRIDE, 15 * FULL_STRIDE + 37])
+    def test_split_run_copies_its_fixed_point(self, monkeypatch, dim, cutoff, steps):
+        monkeypatch.setattr(verify, "_KRON_STEP_MAX_DIM", cutoff)
+        checks = record_checks(monkeypatch)
+        dyn, mean0, cov0 = settling_case(np.random.default_rng([420, dim]), dim)
+        traj = assert_matches_stage_form(dyn, steps * SETTLE_DT, SETTLE_DT, mean0, cov0)
+        z = assert_exact_samples(traj)
+        stepped = stepped_samples(checks)
+        end = stepped[-1]
+        assert stepped == list(range(1, end + 1))
+        assert end < steps and end % FULL_STRIDE == 0
+        assert np.all(bits(z[end:]) == bits(z[end]))
+        # the copied state is a true fixed point: one step from it gives it back
+        again = simulate_moments(
+            dyn, SETTLE_DT, SETTLE_DT,
+            mean0=traj.means[end], cov0=traj.covariances[end],
+        )
+        assert np.array_equal(bits(again.covariances.base[1]), bits(z[end]))
+
+    @pytest.mark.parametrize("dim", [2, PACKED_DIM, SPLIT_DIM])
+    def test_a_run_that_never_settles_steps_its_whole_grid(self, monkeypatch, dim):
+        # zero drift with noise: the mean stays put and P grows linearly
+        steps = long_run_steps(13 * FULL_STRIDE + 37)
+        checks = record_checks(monkeypatch)
+        rng = np.random.default_rng([430, dim])
+        dyn = LinearDynamics(
+            a=np.zeros((dim, dim)), b_ext=rng.normal(size=(dim, dim)),
+            c_ext=np.zeros((0, dim)), d_ext=np.zeros((0, dim)),
+        )
+        _, mean0, cov0 = random_moments_case(rng, dim)
+        traj = assert_matches_stage_form(dyn, steps * SETTLE_DT, SETTLE_DT, mean0, cov0)
+        assert_exact_samples(traj)
+        assert stepped_samples(checks) == list(range(1, steps + 1))
 
 
 class TestCompareTrajectories:
