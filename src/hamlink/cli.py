@@ -262,10 +262,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traj = simulate_moments(direct, args.t_final, args.dt)
     final_mean = max_abs(traj.means[-1])
     final_cov = traj.covariances[-1]
+    k = traj.stationary_from
+    stationary = (
+        "" if k is None else f", stationary from t={traj.times[k]:g} (step {k})"
+    )
     print(
         f"simulated to t={traj.times[-1]:g} in {len(traj.times) - 1} steps; "
         f"final max |mean| {final_mean:.6g}, final cov trace "
-        f"{float(np.trace(final_cov)):.6g}"
+        f"{float(np.trace(final_cov)):.6g}{stationary}"
     )
     if args.output:
         save_trajectory(traj, args.output)

@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 # Rows of two trajectories compared at once, so the difference temporaries
-# stay a fixed size whatever the step count.
+# stay a fixed size whatever the step count.  Rows past both sides'
+# stationary samples are not compared at all (compare_moment_trajectories).
 _COMPARE_BLOCK_ROWS = 256
 # Most integration steps between finiteness checks, and so the largest
 # stride of the packed fill: a diverging run stops within this many steps of
@@ -71,8 +72,9 @@ _DIVERGENCE_CHECK_STEPS = 64
 _KRON_STEP_MAX_DIM = 16
 # Largest trajectory simulate_moments stores, in floats: (n_steps + 1)
 # samples of a time, an augmented moment matrix and a copied mean,
-# 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB, and a
-# trajectory comparison holds two.
+# 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB.  A
+# trajectory comparison holds one whole trajectory plus the first side's
+# samples up to where it became stationary: two whole ones when it never did.
 _MAX_TRAJECTORY_FLOATS = 2**27
 
 
@@ -214,12 +216,17 @@ class MomentTrajectory:
 
     A plain record of the arrays simulate_moments fills: times (n,), means
     (n, dim) and covariances (n, dim, dim), the last a strided view of the
-    augmented moment matrices the integrator stores.
+    augmented moment matrices the integrator stores.  stationary_from is
+    the sample from which the run repeats one state bit for bit, so that
+    every later mean and covariance equals that sample's; it is None when
+    no such sample was found (the run stepped to its end, or took the packed
+    fill).  It is not part of the trajectory document.
     """
 
     times: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
+    stationary_from: int | None = None
 
 
 def simulate_moments(
@@ -283,7 +290,10 @@ def simulate_moments(
     for bit, so would every later full product, and their rows are copied
     from it; a last, shorter product still runs, since it need not round
     like a full one.  The copies are exactly what stepping would store, not
-    values within a tolerance.
+    values within a tolerance.  The split step's exit sets stationary_from
+    to the fixed point's first sample.  The packed fill never sets it: its
+    copied rows repeat a whole stride block, not one state, and its last
+    product is stepped afresh.
 
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
@@ -383,6 +393,7 @@ def simulate_moments(
         stack2d = stack.reshape(3 * aug, aug)
         v = np.empty((aug, aug))
 
+    stationary_from = None
     # Divergence is detected by a finiteness check after each product or
     # block of steps, so the overflow that precedes it is expected and not
     # worth a warning.
@@ -426,6 +437,7 @@ def simulate_moments(
                 if _same_bits(z[end], z[end - 1]):
                     # A fixed point of the step: the rest is copies of it.
                     z[end + 1 :] = z[end]
+                    stationary_from = end - 1
                     break
 
     # The mean gets its own array rather than a strided view of z.  Freed
@@ -434,7 +446,10 @@ def simulate_moments(
     # so repeated comparisons reuse the space instead of growing the heap.
     times = np.arange(n_steps + 1) * dt
     return MomentTrajectory(
-        times=times, means=z[:, :dim, dim].copy(), covariances=z[:, :dim, :dim]
+        times=times,
+        means=z[:, :dim, dim].copy(),
+        covariances=z[:, :dim, :dim],
+        stationary_from=stationary_from,
     )
 
 
@@ -528,17 +543,41 @@ def compare_moment_trajectories(
     whole trajectory (absolute, not scaled).  The deviation is taken over
     fixed blocks of rows, so no difference array of trajectory size is
     built.
+
+    Side a is simulated first, so its divergence is the one raised when
+    both diverge.  Only one whole trajectory is held at a time: once side a
+    returns, its samples up to stationary_from are copied and the rest is
+    dropped before side b is simulated.  Rows are then compared up to the
+    later of the two stationary samples; side b's rows past side a's are
+    compared with side a's last kept sample.  Every row left out repeats a
+    compared row on both sides, so the result is the same float as a
+    comparison of the two whole trajectories.  When side a never became
+    stationary, both whole trajectories are held.
     """
     if dyn_a.dim != dyn_b.dim:
         raise ValidationError(
             f"state dimensions differ: {dyn_a.dim} versus {dyn_b.dim}"
         )
     traj_a = simulate_moments(dyn_a, t_final, dt, mean0=mean0, cov0=cov0)
+    last = len(traj_a.times) - 1
+    stop_a = traj_a.stationary_from
+    if stop_a is None:
+        means_a, covs_a, stop_a = traj_a.means, traj_a.covariances, last
+    else:
+        # Copies, since a view would keep the whole trajectory alive.
+        means_a = traj_a.means[: stop_a + 1].copy()
+        covs_a = traj_a.covariances[: stop_a + 1].copy()
+    del traj_a
     traj_b = simulate_moments(dyn_b, t_final, dt, mean0=mean0, cov0=cov0)
+    stop_b = traj_b.stationary_from
+    end = max(stop_a, last if stop_b is None else stop_b) + 1
     worst = 0.0
-    for start in range(0, len(traj_a.times), _COMPARE_BLOCK_ROWS):
-        rows = slice(start, start + _COMPARE_BLOCK_ROWS)
-        d_mean = max_abs(traj_a.means[rows] - traj_b.means[rows])
-        d_cov = max_abs(traj_a.covariances[rows] - traj_b.covariances[rows])
-        worst = max(worst, d_mean, d_cov)
+    # Rows both sides hold, then side b's rows against side a's last one.
+    for lo, hi in ((0, stop_a + 1), (stop_a + 1, end)):
+        for start in range(lo, hi, _COMPARE_BLOCK_ROWS):
+            rows = slice(start, min(start + _COMPARE_BLOCK_ROWS, hi))
+            mine = rows if start <= stop_a else stop_a
+            d_mean = max_abs(means_a[mine] - traj_b.means[rows])
+            d_cov = max_abs(covs_a[mine] - traj_b.covariances[rows])
+            worst = max(worst, d_mean, d_cov)
     return worst

@@ -7,7 +7,18 @@ import sys
 import numpy as np
 import pytest
 
-from hamlink import demo_problem, save_problem
+from hamlink import (
+    DAMPING_RATE,
+    DirectInteraction,
+    LqssParams,
+    Problem,
+    SynthOptions,
+    demo_problem,
+    direct_dynamics,
+    load_problem,
+    save_problem,
+    simulate_moments,
+)
 from hamlink.cli import main
 
 
@@ -16,6 +27,25 @@ def demo_paths(tmp_path):
     problem = tmp_path / "demo.json"
     save_problem(demo_problem(), problem)
     return problem, tmp_path / "demo.report.json"
+
+
+@pytest.fixture()
+def nine_mode_problem(tmp_path):
+    """A damped 4-mode / 5-mode problem: state dimension 18, which takes the
+    split step, and settles on a stationary float state within 2000 steps."""
+    rng = np.random.default_rng(7)
+    amp = np.sqrt(DAMPING_RATE)
+
+    def side(n):
+        return LqssParams(
+            n=n, r=np.zeros((2 * n, 2 * n)), c=amp * np.eye(2 * n), d=np.eye(2 * n)
+        )
+
+    r_ab = rng.normal(size=(8, 10))
+    r_ab *= 20.0 / np.linalg.norm(r_ab, 2)
+    path = tmp_path / "nine.json"
+    save_problem(Problem(DirectInteraction(side(4), side(5), r_ab), SynthOptions()), path)
+    return path
 
 
 def run(argv, capsys):
@@ -328,6 +358,21 @@ class TestVerify:
         assert "verdict: FAIL" in out
 
 
+def plain_trajectory(problem, t_final):
+    """The trajectory `hamlink simulate PROBLEM --dt 1e-3` integrates."""
+    di = load_problem(problem).interaction
+    return simulate_moments(direct_dynamics(di), t_final, 1e-3)
+
+
+def summary_line(traj):
+    """simulate's summary line before any stationary note."""
+    return (
+        f"simulated to t={traj.times[-1]:g} in {len(traj.times) - 1} steps; "
+        f"final max |mean| {np.max(np.abs(traj.means[-1])):.6g}, final cov "
+        f"trace {np.trace(traj.covariances[-1]):.6g}"
+    )
+
+
 class TestSimulate:
     def test_plain_run_prints_summary(self, demo_paths, capsys):
         problem, _ = demo_paths
@@ -338,6 +383,39 @@ class TestSimulate:
         assert code == 0
         assert "200 steps" in out
         assert "cov trace" in out
+
+    def test_summary_says_where_the_run_became_stationary(
+        self, nine_mode_problem, capsys
+    ):
+        code, out, _ = run(
+            ["simulate", str(nine_mode_problem), "--t-final", "2", "--dt", "1e-3"],
+            capsys,
+        )
+        traj = plain_trajectory(nine_mode_problem, 2.0)
+        k = traj.stationary_from
+        assert code == 0
+        assert k is not None
+        assert out == (
+            f"{summary_line(traj)}, stationary from t={traj.times[k]:g} (step {k})\n"
+        )
+
+    @pytest.mark.parametrize("which", ["nine_mode", "demo"])
+    def test_summary_is_unchanged_when_no_stationary_sample_is_found(
+        self, nine_mode_problem, demo_paths, capsys, which
+    ):
+        # 50 split steps end before the first stationarity check; the demo
+        # takes the packed fill, which never reports one.
+        problem, t_final = (
+            (nine_mode_problem, 0.05) if which == "nine_mode" else (demo_paths[0], 2.0)
+        )
+        code, out, _ = run(
+            ["simulate", str(problem), "--t-final", repr(t_final), "--dt", "1e-3"],
+            capsys,
+        )
+        traj = plain_trajectory(problem, t_final)
+        assert code == 0
+        assert traj.stationary_from is None
+        assert out == f"{summary_line(traj)}\n"
 
     def test_trajectory_output(self, demo_paths, tmp_path, capsys):
         problem, _ = demo_paths

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -757,17 +758,25 @@ def bits(x):
 SETTLE_DT = 1e-2
 
 
-def settling_case(rng, dim):
-    """Modes with a random Hamiltonian, each damped at rate 40 through its
+def settling_case(rng, dim, rate=40.0):
+    """Modes with a random Hamiltonian, each damped at `rate` through its
     own vacuum channel, from zero mean and a random covariance."""
     params = LqssParams(
         n=dim // 2,
         r=random_symmetric(rng, dim),
-        c=np.sqrt(40.0) * np.eye(dim),
+        c=np.sqrt(rate) * np.eye(dim),
         d=np.eye(dim),
     )
     half = rng.normal(size=(dim, dim))
     return system_dynamics(params), np.zeros(dim), 0.5 * np.eye(dim) + half @ half.T
+
+
+def free_dynamics(a, b_ext):
+    """Dynamics with no output ports."""
+    dim = a.shape[0]
+    return LinearDynamics(
+        a=a, b_ext=b_ext, c_ext=np.zeros((0, dim)), d_ext=np.zeros((0, dim))
+    )
 
 
 def assert_exact_samples(traj):
@@ -851,6 +860,77 @@ class TestStationaryTail:
         assert_exact_samples(traj)
         assert stepped_samples(checks) == list(range(1, steps + 1))
 
+    @pytest.mark.parametrize(
+        "dim, cutoff",
+        [
+            (SPLIT_DIM, verify._KRON_STEP_MAX_DIM),
+            (34, verify._KRON_STEP_MAX_DIM),
+            (10, -1),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [15 * FULL_STRIDE, 15 * FULL_STRIDE + 37])
+    def test_split_exit_reports_where_the_state_repeats(
+        self, monkeypatch, dim, cutoff, steps
+    ):
+        monkeypatch.setattr(verify, "_KRON_STEP_MAX_DIM", cutoff)
+        checks = record_checks(monkeypatch)
+        dyn, mean0, cov0 = settling_case(np.random.default_rng([420, dim]), dim)
+        traj = simulate_moments(dyn, steps * SETTLE_DT, SETTLE_DT, mean0=mean0, cov0=cov0)
+        k = traj.stationary_from
+        assert k == stepped_samples(checks)[-1] - 1
+        assert np.all(bits(traj.covariances.base[k:]) == bits(traj.covariances.base[k]))
+        assert np.all(bits(traj.means[k:]) == bits(traj.means[k]))
+
+    @pytest.mark.parametrize("dim", [2, 10, PACKED_DIM])
+    def test_packed_runs_report_no_stationary_sample(self, monkeypatch, dim):
+        # the case of test_packed_run_copies_its_repeating_block, whose
+        # packed exit copies stride blocks rather than one state
+        steps = long_run_steps(13 * FULL_STRIDE)
+        checks = record_checks(monkeypatch)
+        dyn, mean0, cov0 = settling_case(np.random.default_rng([410, dim]), dim)
+        traj = simulate_moments(dyn, steps * SETTLE_DT, SETTLE_DT, mean0=mean0, cov0=cov0)
+        assert len(stepped_samples(checks)) < steps
+        assert traj.stationary_from is None
+
+    @pytest.mark.parametrize("dim", [2, PACKED_DIM, SPLIT_DIM])
+    def test_a_run_that_never_settles_reports_no_stationary_sample(
+        self, monkeypatch, dim
+    ):
+        # the case of test_a_run_that_never_settles_steps_its_whole_grid
+        steps = long_run_steps(13 * FULL_STRIDE + 37)
+        checks = record_checks(monkeypatch)
+        rng = np.random.default_rng([430, dim])
+        dyn = free_dynamics(np.zeros((dim, dim)), rng.normal(size=(dim, dim)))
+        _, mean0, cov0 = random_moments_case(rng, dim)
+        traj = simulate_moments(dyn, steps * SETTLE_DT, SETTLE_DT, mean0=mean0, cov0=cov0)
+        assert stepped_samples(checks) == list(range(1, steps + 1))
+        assert traj.stationary_from is None
+
+
+def comparison_cases():
+    """Pairs of split-step dynamics, named by which of them settle on a
+    stationary float state within the grid: (dyn_a, dyn_b, t_final, dt,
+    mean0, cov0, [a settles, b settles])."""
+    dim = SPLIT_DIM
+    rng = np.random.default_rng(450)
+    fast, _, cov0 = settling_case(rng, dim)
+    slow, _, _ = settling_case(rng, dim, rate=20.0)
+    # zero drift with noise: P grows linearly
+    growing = free_dynamics(np.zeros((dim, dim)), rng.normal(size=(dim, dim)))
+    # undamped rotations without noise
+    rotating = [
+        free_dynamics(m - m.T, np.zeros((dim, 0)))
+        for m in (rng.normal(size=(dim, dim)) for _ in range(2))
+    ]
+    mean0 = rng.normal(size=dim)
+    return {
+        "both_settle": (fast, slow, 10.0, 1e-2, None, None, [True, True]),
+        "only_a_settles": (fast, growing, 10.0, 1e-2, None, None, [True, False]),
+        "only_b_settles": (rotating[0], slow, 10.0, 1e-2, None, cov0, [False, True]),
+        "neither_settles": (*rotating, 10.0, 1e-2, mean0, cov0, [False, False]),
+        "given_moments": (fast, slow, 60.0, 3e-2, mean0, cov0, [True, False]),
+    }
+
 
 class TestCompareTrajectories:
     def test_identical_dynamics_agree_exactly(self):
@@ -903,6 +983,79 @@ class TestCompareTrajectories:
         residual = compare_moment_trajectories(dyn, dyn, times[-1], 0.01)
         assert residual == pytest.approx(3e-4, rel=1e-9)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("field", ["means", "covariances"])
+    @pytest.mark.parametrize("row", ["next", "last"])
+    def test_deviation_after_side_a_became_stationary(self, monkeypatch, field, row):
+        # side a keeps its samples only up to its stationary one; side b's
+        # later rows must still be compared, with that sample
+        rows = 2 * verify._COMPARE_BLOCK_ROWS + 5
+        dim = 2
+        k = verify._COMPARE_BLOCK_ROWS - 1
+        times = np.arange(rows) * 0.01
+        base = MomentTrajectory(
+            times=times,
+            means=np.ones((rows, dim)),
+            covariances=np.broadcast_to(0.5 * np.eye(dim), (rows, dim, dim)),
+        )
+        settled = dataclasses.replace(base, stationary_from=k)
+        moved = getattr(base, field).copy()
+        moved[k + 1 if row == "next" else -1, ..., 1] += 3e-4
+        other = dataclasses.replace(base, **{field: moved})
+        results = iter([settled, other])
+
+        def fake(dyn, t_final, dt, mean0=None, cov0=None):
+            return next(results)
+
+        monkeypatch.setattr(verify, "simulate_moments", fake)
+        dyn = damped_mode(1.0)
+        residual = compare_moment_trajectories(dyn, dyn, times[-1], 0.01)
+        assert residual == pytest.approx(3e-4, rel=1e-9)
+
+    @pytest.mark.parametrize("case", list(comparison_cases()))
+    def test_same_float_as_comparing_whole_trajectories(self, case):
+        dyn_a, dyn_b, t_final, dt, mean0, cov0, settles = comparison_cases()[case]
+        whole = [
+            simulate_moments(dyn, t_final, dt, mean0=mean0, cov0=cov0)
+            for dyn in (dyn_a, dyn_b)
+        ]
+        stationary = [traj.stationary_from for traj in whole]
+        assert [k is not None for k in stationary] == settles
+        if all(settles):
+            assert stationary[0] != stationary[1]
+        reference = max(
+            np.max(np.abs(whole[0].means - whole[1].means)),
+            np.max(np.abs(whole[0].covariances - whole[1].covariances)),
+        )
+        assert reference > 0
+        for first, second in ((dyn_a, dyn_b), (dyn_b, dyn_a)):
+            residual = compare_moment_trajectories(
+                first, second, t_final, dt, mean0=mean0, cov0=cov0
+            )
+            assert bits(np.float64(residual)) == bits(reference)
+
+    def test_holds_one_whole_trajectory_at_a_time(self):
+        # side a settles early, so only its first samples are kept while
+        # side b is simulated; two whole trajectories would be over twice
+        # one trajectory's bytes
+        dim = 34
+        rng = np.random.default_rng(460)
+        dyn_a, mean0, cov0 = settling_case(rng, dim)
+        dyn_b, _, _ = settling_case(rng, dim)
+        t_final = 2000 * SETTLE_DT
+        one = simulate_moments(dyn_a, t_final, SETTLE_DT, mean0=mean0, cov0=cov0)
+        assert one.stationary_from is not None
+        stored = one.times.nbytes + one.means.nbytes + one.covariances.base.nbytes
+        del one
+        tracemalloc.start()
+        try:
+            compare_moment_trajectories(
+                dyn_a, dyn_b, t_final, SETTLE_DT, mean0=mean0, cov0=cov0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * stored
 
     def test_accepts_dynamics_given_as_lists(self):
         # LinearDynamics stores what it is given; the integrator converts it
