@@ -253,8 +253,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         sim_tol = _sim_tol(args)
         verdict = "ok" if residual <= sim_tol else "FAIL"
+        # The grid's last sample, round(t_final / dt) steps of dt, as in
+        # simulate_moments' times.
+        horizon = np.rint(args.t_final / args.dt) * args.dt
         print(
-            f"max moment deviation over [0, {args.t_final:g}] at dt={args.dt:g}: "
+            f"max moment deviation over [0, {horizon:g}] at dt={args.dt:g}: "
             f"{residual:.3e}  tol {sim_tol:g}  {verdict}"
         )
         return 0 if residual <= sim_tol else 3

@@ -47,10 +47,13 @@ __all__ = [
     "compare_moment_trajectories",
 ]
 
-# Rows of two trajectories compared at once, so the difference temporaries
-# stay a fixed size whatever the step count.  Rows past both sides'
+# Bytes of one block of side b's covariance upper triangles compared at once,
+# so the gathered rows and their differences stay a fixed size whatever the
+# step count and dimension: 55 rows at dimension 34, 595 at dimension 10.
+# A budget in bytes, not rows, keeps small dimensions' blocks long enough
+# that numpy's per-call overhead stays small.  Rows past both sides'
 # stationary samples are not compared at all (compare_moment_trajectories).
-_COMPARE_BLOCK_ROWS = 256
+_COMPARE_BLOCK_BYTES = 2**18
 # Most integration steps between finiteness checks, and so the largest
 # stride of the packed fill: a diverging run stops within this many steps of
 # its first overflow instead of at the end of its grid.  It is also the
@@ -74,7 +77,8 @@ _KRON_STEP_MAX_DIM = 16
 # samples of a time, an augmented moment matrix and a copied mean,
 # 1 + (dim + 1)**2 + dim floats each.  2**27 floats are 1 GiB.  A
 # trajectory comparison holds one whole trajectory plus the first side's
-# samples up to where it became stationary: two whole ones when it never did.
+# means and covariance upper triangles up to where it became stationary, or
+# over the whole grid when it never did: about 1.5 trajectories at most.
 _MAX_TRAJECTORY_FLOATS = 2**27
 
 
@@ -540,44 +544,47 @@ def compare_moment_trajectories(
 
     Integrates both from the same initial moments on the same grid and
     returns the largest entrywise deviation in mean or covariance over the
-    whole trajectory (absolute, not scaled).  The deviation is taken over
-    fixed blocks of rows, so no difference array of trajectory size is
-    built.
+    whole trajectory (absolute, not scaled).
 
     Side a is simulated first, so its divergence is the one raised when
     both diverge.  Only one whole trajectory is held at a time: once side a
-    returns, its samples up to stationary_from are copied and the rest is
-    dropped before side b is simulated.  Rows are then compared up to the
-    later of the two stationary samples; side b's rows past side a's are
-    compared with side a's last kept sample.  Every row left out repeats a
+    returns, its means and the upper triangles of its covariances are
+    copied up to stationary_from (over the whole grid when that is None),
+    and the trajectory is dropped before side b is simulated.  Side b is
+    then compared on the same entries, in blocks of _COMPARE_BLOCK_BYTES,
+    so no difference array of trajectory size is built.  Rows are compared
+    up to the later of the two stationary samples; side b's rows past side
+    a's are compared with side a's last kept sample.  Every stored
+    covariance is exactly symmetric, and every row left out repeats a
     compared row on both sides, so the result is the same float as a
-    comparison of the two whole trajectories.  When side a never became
-    stationary, both whole trajectories are held.
+    comparison of the two whole trajectories.
     """
     if dyn_a.dim != dyn_b.dim:
         raise ValidationError(
             f"state dimensions differ: {dyn_a.dim} versus {dyn_b.dim}"
         )
+    iu, ju = np.triu_indices(dyn_a.dim)
     traj_a = simulate_moments(dyn_a, t_final, dt, mean0=mean0, cov0=cov0)
     last = len(traj_a.times) - 1
-    stop_a = traj_a.stationary_from
-    if stop_a is None:
-        means_a, covs_a, stop_a = traj_a.means, traj_a.covariances, last
-    else:
-        # Copies, since a view would keep the whole trajectory alive.
-        means_a = traj_a.means[: stop_a + 1].copy()
-        covs_a = traj_a.covariances[: stop_a + 1].copy()
+    stop_a = last if traj_a.stationary_from is None else traj_a.stationary_from
+    # Copies, since a view would keep the whole trajectory alive.
+    means_a = traj_a.means[: stop_a + 1].copy()
+    upper_a = traj_a.covariances[: stop_a + 1][:, iu, ju]
     del traj_a
     traj_b = simulate_moments(dyn_b, t_final, dt, mean0=mean0, cov0=cov0)
     stop_b = traj_b.stationary_from
     end = max(stop_a, last if stop_b is None else stop_b) + 1
+    block = max(1, _COMPARE_BLOCK_BYTES // upper_a[0].nbytes)
     worst = 0.0
     # Rows both sides hold, then side b's rows against side a's last one.
     for lo, hi in ((0, stop_a + 1), (stop_a + 1, end)):
-        for start in range(lo, hi, _COMPARE_BLOCK_ROWS):
-            rows = slice(start, min(start + _COMPARE_BLOCK_ROWS, hi))
+        for start in range(lo, hi, block):
+            rows = slice(start, min(start + block, hi))
             mine = rows if start <= stop_a else stop_a
             d_mean = max_abs(means_a[mine] - traj_b.means[rows])
-            d_cov = max_abs(covs_a[mine] - traj_b.covariances[rows])
-            worst = max(worst, d_mean, d_cov)
+            upper_b = traj_b.covariances[rows][:, iu, ju]
+            upper_b -= upper_a[mine]
+            worst = max(worst, d_mean, max_abs(upper_b))
+            # Freed before the next block is gathered, not after.
+            del upper_b
     return worst

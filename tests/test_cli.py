@@ -481,6 +481,21 @@ class TestSimulate:
         assert "moment deviation" in out
         assert " ok" in out
 
+    def test_comparison_prints_the_last_compared_time(self, demo_paths, capsys):
+        # t_final / dt = 3.33 rounds to 3 steps: the grid ends at 0.9, not 1.
+        # A step this coarse amplifies the demo's damped modes, so the verdict
+        # is not asserted.
+        problem, report = demo_paths
+        run(["synth", str(problem)], capsys)
+        _, out, _ = run(
+            [
+                "simulate", str(problem), "--realization", str(report),
+                "--t-final", "1", "--dt", "0.3",
+            ],
+            capsys,
+        )
+        assert out.startswith("max moment deviation over [0, 0.9] at dt=0.3: ")
+
     def test_comparison_tolerance_is_sim_tol(self, demo_paths, capsys):
         problem, report = demo_paths
         run(["synth", str(problem)], capsys)

@@ -908,9 +908,10 @@ class TestStationaryTail:
 
 
 def comparison_cases():
-    """Pairs of split-step dynamics, named by which of them settle on a
-    stationary float state within the grid: (dyn_a, dyn_b, t_final, dt,
-    mean0, cov0, [a settles, b settles])."""
+    """Pairs of dynamics, named by which of them settle on a stationary float
+    state within the grid: (dyn_a, dyn_b, t_final, dt, mean0, cov0,
+    [a settles, b settles]).  The split-step pairs cover each combination;
+    the packed pairs never report a stationary sample."""
     dim = SPLIT_DIM
     rng = np.random.default_rng(450)
     fast, _, cov0 = settling_case(rng, dim)
@@ -923,13 +924,55 @@ def comparison_cases():
         for m in (rng.normal(size=(dim, dim)) for _ in range(2))
     ]
     mean0 = rng.normal(size=dim)
+    packed = PACKED_DIM
+    packed_fast, _, packed_cov0 = settling_case(rng, packed)
+    packed_slow, _, _ = settling_case(rng, packed, rate=20.0)
+    packed_growing = free_dynamics(
+        np.zeros((packed, packed)), rng.normal(size=(packed, packed))
+    )
+    packed_mean0 = rng.normal(size=packed)
     return {
         "both_settle": (fast, slow, 10.0, 1e-2, None, None, [True, True]),
         "only_a_settles": (fast, growing, 10.0, 1e-2, None, None, [True, False]),
         "only_b_settles": (rotating[0], slow, 10.0, 1e-2, None, cov0, [False, True]),
         "neither_settles": (*rotating, 10.0, 1e-2, mean0, cov0, [False, False]),
         "given_moments": (fast, slow, 60.0, 3e-2, mean0, cov0, [True, False]),
+        "packed_damped": (
+            packed_fast, packed_slow, 10.0, 1e-2, None, packed_cov0, [False, False]
+        ),
+        "packed_given_moments": (
+            packed_fast, packed_growing, 10.0, 1e-2, packed_mean0, packed_cov0,
+            [False, False],
+        ),
     }
+
+
+def compare_block_rows(dim):
+    """Rows of side b compared at once: the byte budget over one row of a
+    covariance's upper triangle."""
+    return verify._COMPARE_BLOCK_BYTES // (8 * dim * (dim + 1) // 2)
+
+
+def comparison_peak(dim, rng):
+    """Traced peak of one 2000-step comparison of two settling_case
+    dynamics at `dim`, one trajectory's stored bytes, and side a's
+    stationary sample."""
+    dyn_a, mean0, cov0 = settling_case(rng, dim)
+    dyn_b, _, _ = settling_case(rng, dim)
+    t_final = 2000 * SETTLE_DT
+    one = simulate_moments(dyn_a, t_final, SETTLE_DT, mean0=mean0, cov0=cov0)
+    stored = one.times.nbytes + one.means.nbytes + one.covariances.base.nbytes
+    stationary = one.stationary_from
+    del one
+    tracemalloc.start()
+    try:
+        compare_moment_trajectories(
+            dyn_a, dyn_b, t_final, SETTLE_DT, mean0=mean0, cov0=cov0
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, stored, stationary
 
 
 class TestCompareTrajectories:
@@ -960,8 +1003,8 @@ class TestCompareTrajectories:
 
     @pytest.mark.parametrize("field", ["means", "covariances"])
     def test_deviation_in_last_partial_block(self, monkeypatch, field):
-        rows = 2 * verify._COMPARE_BLOCK_ROWS + 5
         dim = 2
+        rows = 2 * compare_block_rows(dim) + 5
         times = np.arange(rows) * 0.01
         base = MomentTrajectory(
             times=times,
@@ -989,9 +1032,9 @@ class TestCompareTrajectories:
     def test_deviation_after_side_a_became_stationary(self, monkeypatch, field, row):
         # side a keeps its samples only up to its stationary one; side b's
         # later rows must still be compared, with that sample
-        rows = 2 * verify._COMPARE_BLOCK_ROWS + 5
         dim = 2
-        k = verify._COMPARE_BLOCK_ROWS - 1
+        rows = 2 * compare_block_rows(dim) + 5
+        k = compare_block_rows(dim) - 1
         times = np.arange(rows) * 0.01
         base = MomentTrajectory(
             times=times,
@@ -1038,24 +1081,17 @@ class TestCompareTrajectories:
         # side a settles early, so only its first samples are kept while
         # side b is simulated; two whole trajectories would be over twice
         # one trajectory's bytes
-        dim = 34
-        rng = np.random.default_rng(460)
-        dyn_a, mean0, cov0 = settling_case(rng, dim)
-        dyn_b, _, _ = settling_case(rng, dim)
-        t_final = 2000 * SETTLE_DT
-        one = simulate_moments(dyn_a, t_final, SETTLE_DT, mean0=mean0, cov0=cov0)
-        assert one.stationary_from is not None
-        stored = one.times.nbytes + one.means.nbytes + one.covariances.base.nbytes
-        del one
-        tracemalloc.start()
-        try:
-            compare_moment_trajectories(
-                dyn_a, dyn_b, t_final, SETTLE_DT, mean0=mean0, cov0=cov0
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * stored
+        peak, stored, stationary = comparison_peak(34, np.random.default_rng(460))
+        assert stationary is not None
+        assert peak <= 1.3 * stored
+
+    def test_holds_side_a_as_upper_triangles_when_it_never_settles(self):
+        # the packed fill reports no stationary sample, so side a is kept
+        # over the whole grid, but only as means and covariance upper
+        # triangles: a little over half a trajectory
+        peak, stored, stationary = comparison_peak(10, np.random.default_rng(470))
+        assert stationary is None
+        assert peak <= 1.8 * stored
 
     def test_accepts_dynamics_given_as_lists(self):
         # LinearDynamics stores what it is given; the integrator converts it
