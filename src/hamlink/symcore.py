@@ -12,6 +12,7 @@ and a block-diagonal variant of the SVD used by channel synthesis.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,24 @@ def jmat(k: int) -> np.ndarray:
     j[:k, k:] = np.eye(k)
     j[k:, :k] = -np.eye(k)
     return j
+
+
+def check_real(value, name: str) -> None:
+    """Refuse a scalar parameter that is not a real number a float can hold.
+
+    A bool, a string, None or an integer past the float range raises
+    ValidationError naming the parameter, rather than TypeError or
+    OverflowError from a later comparison, or True taken as 1.  The range
+    of the value is the caller's to check; math.isfinite accepts whatever
+    passes here.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            float(value)
+            return
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def as_even_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -360,9 +379,10 @@ def special_svd(a, rank_tol: float = RANK_TOL) -> SpecialSvd:
     as evenly as possible with the extra zero on block two.
 
     The returned factors satisfy u @ t @ v.T == a up to the flushed part,
-    with u and v orthogonal.  A rank_tol outside [0, 1), NaN included,
-    raises ValidationError.
+    with u and v orthogonal.  A rank_tol that is not a real number, or one
+    outside [0, 1), NaN included, raises ValidationError.
     """
+    check_real(rank_tol, "rank_tol")
     if not 0.0 <= rank_tol < 1.0:
         raise ValidationError(f"rank_tol must be in [0, 1), got {rank_tol!r}")
     arr = as_even_matrix(a, "special_svd input")

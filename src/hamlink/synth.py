@@ -33,6 +33,7 @@ from .symcore import (
     RESIDUAL_TOL,
     as_even_matrix,
     as_square_matrix,
+    check_real,
     check_symmetric,
     check_symplectic,
     j_times,
@@ -81,6 +82,7 @@ class SynthOptions:
             raise ValidationError(
                 f"m must be a nonnegative integer, got {m!r}"
             )
+        check_real(self.rank_tol, "rank_tol")
         if not 0.0 <= self.rank_tol < 1.0:
             raise ValidationError(
                 f"rank_tol must be in [0, 1), got {self.rank_tol!r}"
@@ -177,11 +179,27 @@ def hamiltonian_corrections(r_bar, c, x) -> np.ndarray:
     The correction cancels the Hamiltonian contribution that the loop field
     adds to the local dynamics.  c# x c is J-skew whenever x is, so the
     correction is symmetric; the result is explicitly symmetrized to remove
-    rounding noise.  Array-level: the arguments are float arrays of
+    rounding noise.  Since J c# = c.T J, the correction also equals
+    r_bar - (1/2) c.T y c for x = -J y, exactly for any c and y; synthesize
+    computes it in that form, where y c is a row scaling of c unless a
+    mixing matrix is given.  Array-level: the arguments are float arrays of
     consistent shapes and x is J-skew, as synthesize builds it from a
     symmetric matrix; nothing is checked again.
     """
     out = r_bar - 0.5 * j_times(sharp(c) @ x @ c)
+    return 0.5 * (out + out.T)
+
+
+def _corrected(r_bar: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """hamiltonian_corrections for x = -J y, as r_bar - (1/2) c.T (y c).
+
+    y is the symmetric matrix, or a 1-d array for a diagonal one, whose
+    product with c is then a row scaling.  The result is symmetrized the
+    same way.
+    """
+    out = c.T @ (y[:, None] * c if y.ndim == 1 else y @ c)
+    out *= -0.5
+    out += r_bar
     return 0.5 * (out + out.T)
 
 
@@ -215,9 +233,15 @@ def synthesize(
     gain equation has a vanishing denominator, and AlgebraicLoopError when
     the loop matrix X + I is singular or its condition number exceeds COND_CAP.
 
+    c_a, c_b, x and sigma are built in channel form, one quadrature pair
+    per channel with a 2 x 2 loop block, and the mixing products by p are
+    made only when p is given.  Each correction is r_bar - (1/2) c.T (y c)
+    with x = -J y, which equals hamiltonian_corrections(r_bar, c, x); in
+    channel form y c is a row scaling, so each side costs one product.
+
     The returned realization satisfies the coupling factorization identity
-    to rounding level; a failed internal self-check raises rather than
-    returning a bad realization.
+    to rounding level; a failed internal self-check on the returned
+    matrices raises rather than returning a bad realization.
     """
     opts = options if options is not None else SynthOptions()
     r_bar_a = as_square_matrix(r_bar_a, "r_bar_a")
@@ -248,10 +272,9 @@ def synthesize(
     y2 = _resolve_diag(opts.y2, "y2", m)
     ga1 = _resolve_diag(opts.ga1, "ga1", m)
     ga2 = _resolve_diag(opts.ga2, "ga2", m)
-    if opts.p is None:
-        p = np.eye(2 * m)
-    else:
-        p = as_even_matrix(opts.p, "p")
+    p = opts.p
+    if p is not None:
+        p = as_even_matrix(p, "p")
         if p.shape != (2 * m, 2 * m):
             raise ValidationError(
                 f"p must be {2 * m} x {2 * m}, got {p.shape}"
@@ -314,20 +337,19 @@ def synthesize(
     gb1 = y2 * gb4
     gb2 = -y1 * gb3
 
-    # Before the mixing p, rows i and m + i of c_a are ga1[i] and ga2[i] times
+    # In channel form, rows i and m + i of c_a are ga1[i] and ga2[i] times
     # columns i and n_a + i of u, and those of c_b mix columns i and n_b + i
-    # of v: channel i carries one quadrature pair of each side.
+    # of v: channel i carries one quadrature pair of each side.  The loop
+    # matrix is x = -J y with y = diag(y1, y2), so x carries the block
+    # [[0, -y2], [y1, 0]] on each channel's quadrature pair.
     u1, u2 = svd.u[:, :m], svd.u[:, n_a:n_a + m]
     v1, v2 = svd.v[:, :m], svd.v[:, n_b:n_b + m]
-    c_a = p.T @ np.concatenate((u1 * ga1, u2 * ga2), axis=1).T
-    c_b = p.T @ np.concatenate((v1 * gb1 + v2 * gb3, v1 * gb4 + v2 * gb2), axis=1).T
+    c_a = np.concatenate(((u1 * ga1).T, (u2 * ga2).T))
+    c_b = np.concatenate(((v1 * gb1 + v2 * gb3).T, (v1 * gb4 + v2 * gb2).T))
+    y_diag = np.concatenate((y1, y2))
 
-    y = (p.T * np.concatenate((y1, y2))) @ p
-    y = 0.5 * (y + y.T)
-    x = -j_times(y)
-
-    # Cayley step per channel: sigma = (x - I)(x + I)^-1 = p.T sigma0 p.
-    # Each block of sigma0 solves (X0 + I)^T S = (X0 - I)^T for S = sigma0^T
+    # Cayley step per channel: sigma0 = (x0 - I)(x0 + I)^-1 on each block.
+    # Each block solves (X0 + I)^T S = (X0 - I)^T for S = sigma0^T
     # by Gaussian elimination with partial pivoting.  The rows of the
     # augmented system are (1, y1 | -1, y1) and (-y2, 1 | -y2, -1), and the
     # second is the pivot when |y2| > 1.  Near 1 + y1*y2 = 0, I - sigma is
@@ -341,12 +363,29 @@ def synthesize(
     mult = oth[0] / piv[0]
     s1 = (oth[2:] - mult * piv[2:]) / (oth[1] - mult * piv[1])
     s0 = (piv[2:] - piv[1] * s1) / piv[0]
-    # sigma0 p as two scaled row blocks of p: the q rows, then the p rows.
-    sigma0_p = (s0[:, :, None] * p[:m] + s1[:, :, None] * p[m:]).reshape(2 * m, 2 * m)
-    sigma = p.T @ sigma0_p
 
-    r_a = hamiltonian_corrections(r_bar_a, c_a, x)
-    r_b = hamiltonian_corrections(r_bar_b, c_b, x)
+    if p is None:
+        y = y_diag
+        x = -j_times(np.diag(y_diag))
+        # sigma0 with its (q, p) row halves and column halves as axes.
+        sigma = np.zeros((2, m, 2, m))
+        i = np.arange(m)
+        sigma[:, i, 0, i] = s0
+        sigma[:, i, 1, i] = s1
+        sigma = sigma.reshape(2 * m, 2 * m)
+    else:
+        # p is orthogonal symplectic, so mixing is c -> p.T c, y -> p.T y p
+        # and sigma -> p.T sigma0 p; sigma0 p is two scaled row blocks of
+        # p, the q rows and then the p rows.
+        c_a = p.T @ c_a
+        c_b = p.T @ c_b
+        y = (p.T * y_diag) @ p
+        y = 0.5 * (y + y.T)
+        x = -j_times(y)
+        sigma0_p = (s0[:, :, None] * p[:m] + s1[:, :, None] * p[m:]).reshape(2 * m, 2 * m)
+        sigma = p.T @ sigma0_p
+    r_a = _corrected(r_bar_a, c_a, y)
+    r_b = _corrected(r_bar_b, c_b, y)
 
     realization = FeedbackRealization(
         m=m, c_a=c_a, c_b=c_b, x=x, sigma=sigma, r_a=r_a, r_b=r_b

@@ -11,6 +11,7 @@ realizations and reports their worst-case deviation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .symcore import (
     SYM_FLAG_TOL,
     as_even_matrix,
     as_square_matrix,
+    check_real,
     check_sharp_skew,
     check_symmetric,
     check_symplectic,
@@ -136,17 +138,37 @@ def check_equivalence(
     feedback drift is assembled twice, once by eliminating the loop through
     sigma (closed_loop_dynamics) and once from the J-skew loop matrix
     without any solve.  Both are compared against the direct drift.
+    The direct drift is built first; each closed-loop drift is then
+    assembled, compared in place and dropped before the next, so at most
+    the direct drift and one closed-loop drift are held at a time.
     Structural flags are evaluated with fixed thresholds regardless of tol,
-    so a corrupted realization is reported rather than rejected.  Raises ValidationError on dimension
-    mismatch or a tol that is not a finite non-negative number, and
-    AlgebraicLoopError when sigma has an eigenvalue so close to one that
-    loop elimination is ill-conditioned.
+    so a corrupted realization is reported rather than rejected.  Raises
+    ValidationError on dimension mismatch or a tol that is not a finite
+    non-negative real number, and AlgebraicLoopError when sigma has an
+    eigenvalue so close to one that loop elimination is ill-conditioned.
     """
-    if not (np.isfinite(tol) and tol >= 0):
+    check_real(tol, "tol")
+    if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
     di = interaction
     fr = realization
+    direct = direct_dynamics(di)
+    a_scale = scale(direct.a)
+
+    # |a - b| = |b - a|, so each difference is taken in place in the
+    # closed-loop drift.
     closed = closed_loop_dynamics(di, fr)
+    noise_residual = max_abs(direct.b_ext - closed.b_ext) / scale(direct.b_ext)
+    drift = closed.a
+    del closed
+    drift -= direct.a
+    drift_residual = max_abs(drift) / a_scale
+    del drift
+    drift = skew_closed_loop_drift(
+        fr.r_a, di.sys_a.c, fr.c_a, fr.r_b, di.sys_b.c, fr.c_b, fr.x
+    )
+    drift -= direct.a
+    skew_drift_residual = max_abs(drift) / a_scale
 
     if fr.sigma.shape[0]:
         eigs = np.linalg.eigvals(fr.sigma)
@@ -161,16 +183,10 @@ def check_equivalence(
         "r_a_symmetric": _accepts(check_symmetric, fr.r_a, SYM_FLAG_TOL),
         "r_b_symmetric": _accepts(check_symmetric, fr.r_b, SYM_FLAG_TOL),
     }
-
-    direct = direct_dynamics(di)
-    skew_a = skew_closed_loop_drift(
-        fr.r_a, di.sys_a.c, fr.c_a, fr.r_b, di.sys_b.c, fr.c_b, fr.x
-    )
-    a_scale = scale(direct.a)
     return EquivalenceReport(
-        drift_residual=max_abs(direct.a - closed.a) / a_scale,
-        skew_drift_residual=max_abs(direct.a - skew_a) / a_scale,
-        noise_residual=max_abs(direct.b_ext - closed.b_ext) / scale(direct.b_ext),
+        drift_residual=drift_residual,
+        skew_drift_residual=skew_drift_residual,
+        noise_residual=noise_residual,
         coupling_residual=coupling_relation_residual(di.r_ab, fr.c_a, fr.c_b, fr.x),
         sigma_unit_margin=margin,
         flags=flags,
@@ -301,14 +317,17 @@ def simulate_moments(
 
     The grid has round(t_final / dt) steps of exactly dt, so the last sample
     sits at that multiple of dt rather than exactly at t_final when the two
-    disagree.  A grid of no steps, or one whose trajectory would exceed
-    2**27 floats (1 GiB), is refused with ValidationError before anything
-    is allocated.  Raises DivergenceError with the time of the first
-    non-finite sample when the state leaves floating-point range.
+    disagree.  A t_final or dt that is not a finite positive real number, a
+    grid of no steps, or one whose trajectory would exceed 2**27 floats
+    (1 GiB), is refused with ValidationError before anything is allocated.
+    Raises DivergenceError with the time of the first non-finite sample
+    when the state leaves floating-point range.
     """
-    if not (np.isfinite(t_final) and t_final > 0):
+    check_real(t_final, "t_final")
+    check_real(dt, "dt")
+    if not (math.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be positive, got {t_final}")
-    if not (np.isfinite(dt) and dt > 0):
+    if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be positive, got {dt}")
     a = as_square_matrix(dynamics.a, "a")
     b_ext = as_even_matrix(dynamics.b_ext, "b_ext")

@@ -1,6 +1,8 @@
 """Synthesis of feedback realizations: construction, parameters, failure modes."""
 
+import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,6 +377,44 @@ class TestHamiltonianCorrections:
         assert np.array_equal(out, r_bar)
 
 
+class TestChannelForm:
+    # synthesize builds c, x and sigma per channel and mixes them only when p
+    # is given; it forms each correction as r_bar - (1/2) c.T (y c)
+    def test_corrections_match_the_public_formula(self):
+        for di, options in random_loop_problems(261, 60):
+            fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+            for r_bar, c, r in ((di.sys_a.r, fr.c_a, fr.r_a), (di.sys_b.r, fr.c_b, fr.r_b)):
+                expected = hamiltonian_corrections(r_bar, c, fr.x)
+                err = np.max(np.abs(r - expected))
+                assert err <= 1e-13 * max(1.0, np.max(np.abs(expected))), (options.p is None, err)
+
+    def test_identity_mixing_changes_nothing(self):
+        for di, options in random_loop_problems(262, 40):
+            if options.p is not None:
+                continue
+            plain = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+            mixed = synthesize(
+                di.sys_a.r, di.sys_b.r, di.r_ab,
+                dataclasses.replace(options, p=np.eye(2 * options.m)),
+            )
+            for field in ("c_a", "c_b", "x", "sigma"):
+                assert np.array_equal(getattr(plain, field), getattr(mixed, field)), field
+
+    def test_traced_peak_in_drift_matrices(self):
+        # At n_a = n_b = 64, in units of one 4n x 4n drift matrix: the
+        # dense mixing and correction products peaked at 3.80
+        n = 64
+        di = make_interaction(np.random.default_rng(263), n, n, 2 * n)
+        synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+        tracemalloc.start()
+        try:
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (4 * n) ** 2 * 8, peak / ((4 * n) ** 2 * 8)
+
+
 class TestCouplingIdentities:
     def test_residual_scales_relative(self):
         di = demo_problem().interaction
@@ -387,7 +427,9 @@ class TestCouplingIdentities:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("rank_tol", [float("nan"), -1e-3, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "rank_tol", [float("nan"), -1e-3, 1.0, 2.0, None, "1e-10", True, False]
+    )
     def test_bad_rank_tol_rejected(self, rank_tol):
         with pytest.raises(ValidationError, match="rank_tol"):
             SynthOptions(rank_tol=rank_tol)

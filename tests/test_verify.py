@@ -128,11 +128,52 @@ class TestCheckEquivalence:
         with pytest.raises(AlgebraicLoopError):
             closed_loop_dynamics(di, stuck)
 
-    @pytest.mark.parametrize("tol", [-1e-8, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "tol",
+        [-1e-8, float("nan"), float("inf"), None, "1e-8", True,
+         pytest.param(10**400, id="int-past-float")],
+    )
     def test_bad_tolerance_rejected(self, tol):
         di, fr = golden_pair()
         with pytest.raises(ValidationError, match="tol"):
             check_equivalence(di, fr, tol=tol)
+
+    def test_only_the_solve_free_path_reads_x(self):
+        # x stays J-skew and sigma is left alone: the loop-solve drift,
+        # which reads sigma, still matches, and the solve-free one does not
+        di, fr = golden_pair()
+        rng = np.random.default_rng(304)
+        bump = -jmat(fr.m) @ random_symmetric(rng, 2 * fr.m, 1e-3)
+        report = check_equivalence(di, dataclasses.replace(fr, x=fr.x + bump))
+        assert report.flags["x_sharp_skew"]
+        assert report.skew_drift_residual > report.tol
+        assert report.drift_residual <= report.tol
+
+    def test_only_the_loop_solve_path_reads_sigma(self):
+        # sigma times a symplectic shear stays symplectic and x is left
+        # alone: the mirror of the test above
+        di, fr = golden_pair()
+        rng = np.random.default_rng(305)
+        shear = np.eye(2 * fr.m)
+        shear[: fr.m, fr.m :] = random_symmetric(rng, fr.m, 1e-3)
+        report = check_equivalence(di, dataclasses.replace(fr, sigma=fr.sigma @ shear))
+        assert report.flags["sigma_symplectic"]
+        assert report.drift_residual > report.tol
+        assert report.skew_drift_residual <= report.tol
+
+    def test_traced_peak_in_drift_matrices(self):
+        # At n_a = n_b = 64, in units of one 4n x 4n drift matrix: holding
+        # both closed-loop drifts and their differences peaked at 5.02
+        n = 64
+        di, fr = seeded_pair(306, n, n, 2 * n, 4)
+        check_equivalence(di, fr)
+        tracemalloc.start()
+        try:
+            check_equivalence(di, fr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * (4 * n) ** 2 * 8, peak / ((4 * n) ** 2 * 8)
 
     def test_failing_names_are_check_keys(self):
         di, fr = golden_pair()
@@ -377,6 +418,13 @@ class TestSimulateMoments:
             simulate_moments(dyn, t_final=-1.0, dt=0.1)
         with pytest.raises(ValidationError):
             simulate_moments(dyn, t_final=1.0, dt=0.0)
+
+    @pytest.mark.parametrize("bad", [None, "0.1", True])
+    @pytest.mark.parametrize("name", ["t_final", "dt"])
+    def test_rejects_a_horizon_that_is_not_a_number(self, name, bad):
+        grid = {"t_final": 1.0, "dt": 0.1, name: bad}
+        with pytest.raises(ValidationError, match=name):
+            simulate_moments(damped_mode(1.0), **grid)
 
     @pytest.mark.parametrize("t_final, dt", [(1e12, 1e-3), (1e300, 1e-300)])
     def test_rejects_oversized_grid(self, t_final, dt):
