@@ -2,9 +2,10 @@
 
 Commands:
     synth      synthesize a feedback realization for a problem document
-    verify     re-check a written report against its problem
+    verify     re-check a written report against its problem; --simulate
+               also compares the two descriptions' moment trajectories
     example    write the bundled demonstration problem
-    simulate   integrate moments, alone or against a realization
+    simulate   integrate the moments of a problem's direct dynamics
 
 Exit codes: 0 success; 1 malformed input, bad parameters or a usage error;
 2 infeasible channel count; 3 verification, self-check, or trajectory
@@ -96,7 +97,7 @@ def _merge_options(base: SynthOptions, args: argparse.Namespace) -> SynthOptions
 
 
 def _print_report(report) -> None:
-    """One line per check, then the verdict; cmd_verify sets moment_tol."""
+    """One line per check, then the verdict."""
     for name, ok in report.checks.items():
         verdict = "ok" if ok else "FAIL"
         if name in report.flags:
@@ -200,17 +201,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             dt,
         )
         report = dataclasses.replace(
-            report, moment_residual=residual, moment_tol=_sim_tol(args)
+            report, moment_residual=residual, moment_tol=args.sim_tol
         )
     print(f"{args.report} against {args.problem}:")
     _print_report(report)
     return 0 if report.passed else 3
-
-
-def _sim_tol(args: argparse.Namespace) -> float:
-    """--sim-tol as given, or its default.  The flag defaults to None so that
-    a command can refuse it where no trajectory is compared."""
-    return SIM_TOL if args.sim_tol is None else args.sim_tol
 
 
 def cmd_example(args: argparse.Namespace) -> int:
@@ -231,37 +226,14 @@ def cmd_example(args: argparse.Namespace) -> int:
         print("    " + str(realization.x).replace("\n", "\n    "))
         print("  loop gain sigma:")
         print("    " + str(realization.sigma).replace("\n", "\n    "))
-    report = check_equivalence(di, realization, tol=args.tol)
+    report = check_equivalence(di, realization)
     _print_report(report)
     return 0 if report.passed else 3
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.realization is not None and args.output:
-        _err("simulate takes --output PATH or --realization PATH, not both")
-        return 1
-    if args.realization is None and args.sim_tol is not None:
-        _err("simulate takes --sim-tol only with --realization")
-        return 1
     problem = load_problem(args.problem)
     direct = direct_dynamics(problem.interaction)
-    if args.realization is not None:
-        doc = load_report(args.realization)
-        closed = closed_loop_dynamics(problem.interaction, doc.realization)
-        residual = compare_moment_trajectories(
-            direct, closed, args.t_final, args.dt
-        )
-        sim_tol = _sim_tol(args)
-        verdict = "ok" if residual <= sim_tol else "FAIL"
-        # The grid's last sample, round(t_final / dt) steps of dt, as in
-        # simulate_moments' times.
-        horizon = np.rint(args.t_final / args.dt) * args.dt
-        print(
-            f"max moment deviation over [0, {horizon:g}] at dt={args.dt:g}: "
-            f"{residual:.3e}  tol {sim_tol:g}  {verdict}"
-        )
-        return 0 if residual <= sim_tol else 3
-
     traj = simulate_moments(direct, args.t_final, args.dt)
     final_mean = max_abs(traj.means[-1])
     final_cov = traj.covariances[-1]
@@ -297,16 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"hamlink {__version__}"
     )
-    # --tol and --sim-tol, shared by the subcommands that take them.
+    # --tol, shared by the subcommands that take it.
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
         "--tol", type=_tolerance, default=RESIDUAL_TOL,
         help=f"scaled residual tolerance of the checks (default {RESIDUAL_TOL:g})",
-    )
-    sim_tol = argparse.ArgumentParser(add_help=False)
-    sim_tol.add_argument(
-        "--sim-tol", type=_tolerance,
-        help=f"absolute tolerance of a trajectory comparison (default {SIM_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -338,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser(
-        "verify", parents=[tol, sim_tol],
-        help="re-check a report against its problem",
+        "verify", parents=[tol], help="re-check a report against its problem"
     )
     p_verify.add_argument("problem", help="problem document path")
     p_verify.add_argument("report", help="report document path")
@@ -347,9 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--simulate", nargs=2, type=float, metavar=("T_FINAL", "DT"),
         help="also compare moment trajectories over [0, T_FINAL] at step DT",
     )
+    p_verify.add_argument(
+        "--sim-tol", type=_tolerance,
+        help=f"absolute tolerance of the moment comparison (default {SIM_TOL:g})",
+    )
 
     p_example = sub.add_parser(
-        "example", parents=[tol], help="write the bundled demonstration problem"
+        "example", help="write the bundled demonstration problem"
     )
     p_example.add_argument(
         "--output", "-o", metavar="PATH", default="demo_problem.json",
@@ -357,14 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser(
-        "simulate", parents=[sim_tol],
-        help="integrate moments of the direct dynamics",
+        "simulate", help="integrate moments of the direct dynamics"
     )
     p_sim.add_argument("problem", help="problem document path")
-    p_sim.add_argument(
-        "--realization", metavar="PATH",
-        help="report document; compare its closed loop against the direct form",
-    )
     p_sim.add_argument(
         "--t-final", type=float, default=10.0,
         help="integration horizon (default 10)",
@@ -374,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--output", "-o", metavar="PATH",
-        help="write the simulated trajectory as JSON (not with --realization)",
+        help="write the simulated trajectory as JSON",
     )
     return parser
 
@@ -404,3 +369,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

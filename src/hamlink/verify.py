@@ -28,6 +28,7 @@ from .symcore import (
     COV_SYM_TOL,
     LOOP_TOL,
     RESIDUAL_TOL,
+    SIM_TOL,
     SYM_FLAG_TOL,
     as_even_matrix,
     as_square_matrix,
@@ -90,7 +91,9 @@ class EquivalenceReport:
 
     Residuals are max-abs values scaled by max(1, max-abs of the reference
     quantity).  flags carry named structural verdicts on the realization.
-    moment_residual is filled only when a trajectory comparison was run.
+    moment_residual is filled only when a trajectory comparison was run, and
+    is judged against moment_tol, an absolute tolerance; None stands for
+    its default, SIM_TOL.
     """
 
     drift_residual: float
@@ -101,7 +104,11 @@ class EquivalenceReport:
     flags: dict[str, bool]
     tol: float
     moment_residual: float | None = None
-    moment_tol: float | None = None
+    moment_tol: float = SIM_TOL
+
+    def __post_init__(self):
+        if self.moment_tol is None:
+            object.__setattr__(self, "moment_tol", SIM_TOL)
 
     @property
     def checks(self) -> dict[str, bool]:
@@ -114,8 +121,7 @@ class EquivalenceReport:
         }
         out.update(self.flags)
         if self.moment_residual is not None:
-            tol = self.moment_tol if self.moment_tol is not None else self.tol
-            out["moment_residual"] = self.moment_residual <= tol
+            out["moment_residual"] = self.moment_residual <= self.moment_tol
         return out
 
     @property

@@ -1,8 +1,11 @@
 """Command-line interface, driven through main(argv)."""
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +16,18 @@ from hamlink import (
     LqssParams,
     Problem,
     SynthOptions,
+    check_equivalence,
     demo_problem,
     direct_dynamics,
     load_problem,
     save_problem,
     simulate_moments,
+    synthesize,
 )
+from hamlink import cli
 from hamlink.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -313,6 +321,17 @@ class TestVerify:
         assert code == 3
         assert "moment_residual" in out and "tol 0" in out
 
+    def test_report_without_a_moment_tolerance_prints_sim_tol(self, capsys):
+        di = demo_problem().interaction
+        fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+        report = dataclasses.replace(
+            check_equivalence(di, fr), moment_residual=1e-7
+        )
+        cli._print_report(report)
+        out = capsys.readouterr().out
+        assert "  moment_residual           1.000e-07  tol 1e-06  ok\n" in out
+        assert out.endswith("verdict: PASS\n")
+
     def test_sim_tol_without_simulate_is_exit_1(self, tmp_path, capsys):
         # No trajectories are compared, so --sim-tol would be ignored:
         # refused before either document is read (neither exists).
@@ -467,76 +486,18 @@ class TestSimulate:
         assert code == 1
         assert "t_final / dt" in err
 
-    def test_comparison_mode(self, demo_paths, capsys):
-        problem, report = demo_paths
-        run(["synth", str(problem)], capsys)
-        code, out, _ = run(
-            [
-                "simulate", str(problem), "--realization", str(report),
-                "--t-final", "0.5", "--dt", "1e-3",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "moment deviation" in out
-        assert " ok" in out
-
-    def test_comparison_prints_the_last_compared_time(self, demo_paths, capsys):
-        # t_final / dt = 3.33 rounds to 3 steps: the grid ends at 0.9, not 1.
-        # A step this coarse amplifies the demo's damped modes, so the verdict
-        # is not asserted.
-        problem, report = demo_paths
-        run(["synth", str(problem)], capsys)
-        _, out, _ = run(
-            [
-                "simulate", str(problem), "--realization", str(report),
-                "--t-final", "1", "--dt", "0.3",
-            ],
-            capsys,
-        )
-        assert out.startswith("max moment deviation over [0, 0.9] at dt=0.3: ")
-
-    def test_comparison_tolerance_is_sim_tol(self, demo_paths, capsys):
-        problem, report = demo_paths
-        run(["synth", str(problem)], capsys)
-        code, out, _ = run(
-            [
-                "simulate", str(problem), "--realization", str(report),
-                "--t-final", "0.5", "--dt", "1e-3", "--sim-tol", "0",
-            ],
-            capsys,
-        )
-        assert code == 3
-        assert "tol 0  FAIL" in out
-
     def test_sim_tol_without_realization_is_exit_1(self, tmp_path, capsys):
-        # A plain simulation compares nothing, so --sim-tol would be
-        # ignored: refused before the problem is read (it does not exist).
+        # simulate compares no trajectories (verify --simulate does), so it
+        # takes neither flag: refused before the problem is read (it does
+        # not exist).
         missing = str(tmp_path / "missing.json")
-        code, out, err = run(
-            ["simulate", missing, "--t-final", "0.01", "--sim-tol", "1e-30"], capsys
-        )
-        assert code == 1
-        assert "--sim-tol" in err and "--realization" in err
-        assert out == ""
-
-    def test_comparison_and_output_conflict(self, demo_paths, tmp_path, capsys):
-        # Comparison mode stores no trajectory, so -o would write nothing:
-        # refused before either document is loaded.
-        problem, report = demo_paths
-        run(["synth", str(problem)], capsys)
-        traj = tmp_path / "traj.json"
-        code, out, err = run(
-            [
-                "simulate", str(problem), "--realization", str(report),
-                "--t-final", "0.1", "--dt", "1e-3", "-o", str(traj),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "--output" in err and "--realization" in err
-        assert out == ""
-        assert not traj.exists()
+        for flags in (["--realization", missing], ["--sim-tol", "1e-30"]):
+            code, out, err = run(
+                ["simulate", missing, "--t-final", "0.01", *flags], capsys
+            )
+            assert code == 1, flags
+            assert "unrecognized arguments" in err and flags[0] in err
+            assert out == ""
 
     def test_comparison_failure_is_exit_3(self, demo_paths, capsys):
         problem, report = demo_paths
@@ -545,14 +506,14 @@ class TestSimulate:
         doc["c_a"][0][0] += 0.05
         report.write_text(json.dumps(doc))
         code, out, _ = run(
-            [
-                "simulate", str(problem), "--realization", str(report),
-                "--t-final", "0.5", "--dt", "1e-3",
-            ],
+            ["verify", str(problem), str(report), "--simulate", "0.5", "1e-3"],
             capsys,
         )
         assert code == 3
-        assert "FAIL" in out
+        moment_line = next(
+            line for line in out.splitlines() if "moment_residual" in line
+        )
+        assert moment_line.endswith("tol 1e-06  FAIL")
 
 
 class TestTopLevel:
@@ -567,6 +528,30 @@ class TestTopLevel:
         assert info.value.code == 0
         assert "--batch" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, absent",
+        [("simulate", ["--realization", "--sim-tol"]), ("example", ["--tol"])],
+    )
+    def test_help_lists_no_comparison_or_tolerance_flag(self, capsys, command, absent):
+        # verify --simulate is the one trajectory comparison; example checks
+        # the demo at the default tolerance.
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert [flag for flag in absent if flag in out] == []
+
+    def test_every_flag_in_the_readme_cli_reference_is_accepted(self):
+        text = README.read_text()
+        section = text.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        parser = cli._build_parser()
+        accepted = set(parser._option_string_actions)
+        for action in parser._actions:
+            for subparser in (getattr(action, "choices", None) or {}).values():
+                accepted |= set(subparser._option_string_actions)
+        assert "--sim-tol" in documented
+        assert sorted(documented - accepted) == []
+
     def test_version_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "hamlink", "--version"],
@@ -574,6 +559,20 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert "0.1.0" in result.stdout
+
+    def test_cli_module_runs_as_a_script(self, tmp_path):
+        def run_module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "hamlink.cli", *argv],
+                capture_output=True, text=True,
+            )
+
+        result = run_module("--version")
+        assert (result.returncode, result.stdout) == (0, "hamlink 0.1.0\n")
+        out_path = tmp_path / "demo.json"
+        result = run_module("example", "-o", str(out_path))
+        assert result.returncode == 0
+        assert load_problem(out_path).interaction.r_ab.shape == (4, 6)
 
 
 class TestOneParserPerProcess:
@@ -597,8 +596,6 @@ class TestOneParserPerProcess:
             assert capsys.readouterr().out.strip() == "hamlink 0.1.0"
 
     def test_patched_command_is_the_one_called(self, demo_paths, capsys, monkeypatch):
-        from hamlink import cli
-
         problem, report = demo_paths
         assert run(["synth", str(problem)], capsys)[0] == 0
         calls = []

@@ -197,6 +197,23 @@ class TestFreeParameters:
         assert check_equivalence(di, fr).passed
         assert is_sharp_skew(fr.x, tol=1e-12)
 
+    def test_zero_loop_diagonals_leave_the_hamiltonians_uncorrected(self):
+        # y1 = y2 = 0: x = 0, sigma = -I, and every correction -c^T y c / 2
+        # vanishes, so r_a and r_b are the base matrices bit for bit.  Not
+        # the default: the golden problem pins x = sigma = -J.
+        rng = np.random.default_rng(213)
+        for di in (demo_problem().interaction, make_interaction(rng, 2, 3, rank=3)):
+            m = min_channels(di.r_ab)
+            options = SynthOptions(m=m, y1=(0.0,) * m, y2=(0.0,) * m)
+            fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
+            assert np.array_equal(fr.x, np.zeros((2 * m, 2 * m)))
+            assert np.array_equal(fr.sigma, -np.eye(2 * m))
+            assert fr.r_a.tobytes() == di.sys_a.r.tobytes()
+            assert fr.r_b.tobytes() == di.sys_b.r.tobytes()
+            report = check_equivalence(di, fr)
+            assert report.passed, report.failing()
+            assert report.drift_residual <= 1e-14
+
     def test_wrong_length_rejected(self):
         di = demo_problem().interaction
         with pytest.raises(ValidationError, match="y1"):

@@ -32,6 +32,7 @@ from hamlink import (
 )
 from hamlink import verify
 from hamlink.lqss import DirectInteraction
+from hamlink.symcore import SIM_TOL
 from hamlink.verify import MomentTrajectory
 
 
@@ -1170,3 +1171,17 @@ class TestReportWithMoments:
             report, moment_residual=1e-9, moment_tol=1e-6
         )
         assert good.passed
+
+    def test_moment_tolerance_defaults_to_sim_tol(self):
+        # A residual between tol (1e-8) and SIM_TOL (1e-6) passes when no
+        # moment_tol is given, whether it is left out or passed as None.
+        di, fr = golden_pair()
+        report = check_equivalence(di, fr)
+        for annotated in (
+            dataclasses.replace(report, moment_residual=1e-7),
+            dataclasses.replace(report, moment_residual=1e-7, moment_tol=None),
+        ):
+            assert annotated.moment_tol == SIM_TOL
+            assert annotated.checks["moment_residual"]
+            assert annotated.passed
+        assert not dataclasses.replace(report, moment_residual=2e-6).passed
