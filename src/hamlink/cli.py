@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -43,7 +42,17 @@ from .files import (
     save_trajectory,
 )
 from .lqss import direct_dynamics
-from .symcore import RANK_TOL, RESIDUAL_TOL, SIM_TOL, max_abs, special_svd
+from .symcore import (
+    RANK_TOL,
+    RESIDUAL_TOL,
+    SIM_TOL,
+    check_count,
+    check_positive,
+    check_rank_tol,
+    check_tolerance,
+    max_abs,
+    special_svd,
+)
 from .synth import SynthOptions, synthesize
 from .verify import (
     check_equivalence,
@@ -68,17 +77,15 @@ def _parse_csv(text: str, flag: str) -> tuple[float, ...]:
         ) from None
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol and --sim-tol: a finite non-negative float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite non-negative number, got {text!r}"
-        )
-    return value
+def _flag(rule, name: str, convert=float):
+    """argparse type that checks a flag's value with the library's rule, so
+    that a bad value is refused while the command line is parsed."""
+    def parse(text: str):
+        try:
+            return rule(convert(text), name)
+        except (ValueError, ValidationError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _merge_options(base: SynthOptions, args: argparse.Namespace) -> SynthOptions:
@@ -272,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # --tol, shared by the subcommands that take it.
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
-        "--tol", type=_tolerance, default=RESIDUAL_TOL,
+        "--tol", type=_flag(check_tolerance, "tol"), default=RESIDUAL_TOL,
         help=f"scaled residual tolerance of the checks (default {RESIDUAL_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command")
@@ -290,7 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report path (default: problem path with .report.json; "
         "not with --batch)",
     )
-    p_synth.add_argument("--m", type=int, help="interconnection channel count")
+    p_synth.add_argument(
+        "--m", type=_flag(check_count, "m", int), help="interconnection channel count"
+    )
     p_synth.add_argument("--y1", metavar="CSV", help="loop diagonal, first half")
     p_synth.add_argument("--y2", metavar="CSV", help="loop diagonal, second half")
     p_synth.add_argument("--ga1", metavar="CSV", help="first-system gains, first half")
@@ -300,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON file with an orthogonal symplectic mixing matrix",
     )
     p_synth.add_argument(
-        "--rank-tol", type=float,
+        "--rank-tol", type=_flag(check_rank_tol, "rank_tol"),
         help=f"relative rank threshold for the coupling (default {RANK_TOL:g})",
     )
 
@@ -310,11 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("problem", help="problem document path")
     p_verify.add_argument("report", help="report document path")
     p_verify.add_argument(
-        "--simulate", nargs=2, type=float, metavar=("T_FINAL", "DT"),
+        "--simulate", nargs=2, type=_flag(check_positive, "T_FINAL and DT"),
+        metavar=("T_FINAL", "DT"),
         help="also compare moment trajectories over [0, T_FINAL] at step DT",
     )
     p_verify.add_argument(
-        "--sim-tol", type=_tolerance,
+        "--sim-tol", type=_flag(check_tolerance, "sim_tol"),
         help=f"absolute tolerance of the moment comparison (default {SIM_TOL:g})",
     )
 
@@ -331,11 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("problem", help="problem document path")
     p_sim.add_argument(
-        "--t-final", type=float, default=10.0,
+        "--t-final", type=_flag(check_positive, "t_final"), default=10.0,
         help="integration horizon (default 10)",
     )
     p_sim.add_argument(
-        "--dt", type=float, default=1e-3, help="time step (default 1e-3)"
+        "--dt", type=_flag(check_positive, "dt"), default=1e-3,
+        help="time step (default 1e-3)",
     )
     p_sim.add_argument(
         "--output", "-o", metavar="PATH",

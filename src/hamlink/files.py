@@ -120,7 +120,7 @@ def _floats(value, key: str, where: str) -> np.ndarray:
         ) from None
 
 
-def _as_matrix(value, key: str, where: str, cols: int | None = None) -> np.ndarray:
+def _as_matrix(value, key: str, where: str, cols: int = 0) -> np.ndarray:
     """A list of equal rows of numbers; an empty list has `cols` columns."""
     if not isinstance(value, list):
         raise ValidationError(f"{where}: field '{key}' must be a list of rows")
@@ -133,11 +133,7 @@ def _as_matrix(value, key: str, where: str, cols: int | None = None) -> np.ndarr
                 f"expected {len(value[0])}"
             )
         _check_numbers(row, key, where, i)
-    width = len(value[0]) if value else cols or 0
-    if cols is not None and width != cols:
-        raise ValidationError(
-            f"{where}: '{key}' has {width} columns, expected {cols}"
-        )
+    width = len(value[0]) if value else cols
     return _floats(value, key, where).reshape(len(value), width)
 
 
@@ -183,9 +179,6 @@ def _options_to_dict(options: SynthOptions) -> dict:
 
 
 def _options_from_dict(doc: dict, where: str) -> SynthOptions:
-    m = doc.get("m")
-    if m is not None and type(m) is not int:
-        raise ValidationError(f"{where}: field 'm' must be an integer or null")
     p_raw = doc.get("p")
     p = None if p_raw is None else _as_matrix(p_raw, "p", where)
     rank_tol = doc.get("rank_tol", RANK_TOL)
@@ -193,7 +186,7 @@ def _options_from_dict(doc: dict, where: str) -> SynthOptions:
         raise ValidationError(f"{where}: field 'rank_tol' must be a number")
     try:
         return SynthOptions(
-            m=m,
+            m=doc.get("m"),
             y1=_as_vector(doc.get("y1"), "y1", where),
             y2=_as_vector(doc.get("y2"), "y2", where),
             ga1=_as_vector(doc.get("ga1"), "ga1", where),
@@ -231,19 +224,20 @@ def save_problem(problem: Problem, path) -> None:
     Path(path).write_text(problem_to_json(problem))
 
 
-def _system_from_doc(
-    doc: dict, where: str, n_key: str, r_key: str, c_key: str, d_key: str
-) -> LqssParams:
+def _system_from_doc(doc: dict, where: str, side: str) -> LqssParams:
+    n_key, r_key, c_key, d_key = (
+        f"{key}_{side}" for key in ("n", "r_bar", "c_bar", "d_bar")
+    )
     n = _as_int(doc, n_key, where)
     if n <= 0:
         raise ValidationError(f"{where}: '{n_key}' must be positive")
-    r = _as_matrix(_get(doc, r_key, where), r_key, where, cols=2 * n)
+    r = _as_matrix(_get(doc, r_key, where), r_key, where)
     c = _as_matrix(_get(doc, c_key, where), c_key, where, cols=2 * n)
     d = _as_matrix(_get(doc, d_key, where), d_key, where, cols=c.shape[0])
     try:
         return LqssParams(n=n, r=r, c=c, d=d)
     except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        raise ValidationError(f"{where}: system {side}: {exc}") from exc
 
 
 def load_problem(path) -> Problem:
@@ -252,11 +246,9 @@ def load_problem(path) -> Problem:
     doc = _load_json(path)
     _check_header(doc, path, PROBLEM_FORMAT)
     where = str(path)
-    sys_a = _system_from_doc(doc, where, "n_a", "r_bar_a", "c_bar_a", "d_bar_a")
-    sys_b = _system_from_doc(doc, where, "n_b", "r_bar_b", "c_bar_b", "d_bar_b")
-    r_ab = _as_matrix(
-        _get(doc, "r_ab", where), "r_ab", where, cols=2 * sys_b.n
-    )
+    sys_a = _system_from_doc(doc, where, "a")
+    sys_b = _system_from_doc(doc, where, "b")
+    r_ab = _as_matrix(_get(doc, "r_ab", where), "r_ab", where)
     options_doc = doc.get("options", {})
     if not isinstance(options_doc, dict):
         raise ValidationError(f"{where}: field 'options' must be an object")
@@ -367,21 +359,14 @@ def load_report(path) -> ReportDoc:
     _check_header(doc, path, REPORT_FORMAT)
     where = str(path)
     m = _as_int(doc, "m", where)
-    if m < 0:
-        raise ValidationError(f"{where}: 'm' must be nonnegative")
-    # An empty matrix is written as [] and loses its column count; r_a, r_b
-    # and m restore it.
+    # An empty matrix is written as [] and loses its column count: r_a, r_b
+    # and c_a's rows restore it, and FeedbackRealization checks every shape.
     r_a = _as_matrix(_get(doc, "r_a", where), "r_a", where)
     r_b = _as_matrix(_get(doc, "r_b", where), "r_b", where)
-    for key, r in (("r_a", r_a), ("r_b", r_b)):
-        if r.shape[0] != r.shape[1]:
-            raise ValidationError(
-                f"{where}: '{key}' must be square, got {r.shape[0]} x {r.shape[1]}"
-            )
     c_a = _as_matrix(_get(doc, "c_a", where), "c_a", where, cols=r_a.shape[1])
     c_b = _as_matrix(_get(doc, "c_b", where), "c_b", where, cols=r_b.shape[1])
-    x = _as_matrix(_get(doc, "x", where), "x", where, cols=2 * m)
-    sigma = _as_matrix(_get(doc, "sigma", where), "sigma", where, cols=2 * m)
+    x = _as_matrix(_get(doc, "x", where), "x", where, cols=c_a.shape[0])
+    sigma = _as_matrix(_get(doc, "sigma", where), "sigma", where, cols=c_a.shape[0])
     verification = doc.get("verification", {})
     provenance = doc.get("provenance", {})
     if not isinstance(verification, dict):

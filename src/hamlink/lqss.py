@@ -20,6 +20,7 @@ from .errors import ValidationError
 from .symcore import (
     GAIN_TOL,
     as_even_matrix,
+    check_count,
     check_symmetric,
     check_symplectic,
     guarded_solve,
@@ -45,8 +46,7 @@ def _checked_system(n: int, r, c, d, c_name: str, d_name: str):
     r must be 2n x 2n and symmetric, c must have 2n columns, and d must be
     a symplectic gain on c's ports.
     """
-    if n < 0:
-        raise ValidationError(f"mode count must be nonnegative, got {n}")
+    check_count(n, "mode count")
     r = as_even_matrix(r, "r")
     c = as_even_matrix(c, c_name)
     d = as_even_matrix(d, d_name)

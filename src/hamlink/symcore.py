@@ -12,6 +12,7 @@ and a block-diagonal variant of the SVD used by channel synthesis.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -56,30 +57,58 @@ def jmat(k: int) -> np.ndarray:
     J = [[0, I_k], [-I_k, 0]].  J is orthogonal, skew-symmetric, and
     J @ J = -I.
     """
-    if k < 0:
-        raise ValidationError(f"mode count must be nonnegative, got {k}")
+    k = check_count(k, "mode count")
     j = np.zeros((2 * k, 2 * k))
     j[:k, k:] = np.eye(k)
     j[k:, :k] = -np.eye(k)
     return j
 
 
-def check_real(value, name: str) -> None:
-    """Refuse a scalar parameter that is not a real number a float can hold.
+def check_real(value, name: str) -> float:
+    """A scalar parameter as a float, refused unless a float can hold it.
 
     A bool, a string, None or an integer past the float range raises
     ValidationError naming the parameter, rather than TypeError or
     OverflowError from a later comparison, or True taken as 1.  The range
-    of the value is the caller's to check; math.isfinite accepts whatever
-    passes here.
+    of the value is checked by the rules below, one per kind of parameter.
     """
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
-            float(value)
-            return
+            return float(value)
         except OverflowError:
             pass
     raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def check_tolerance(value, name: str) -> float:
+    """check_real, also refusing a value that is negative or not finite."""
+    value = check_real(value, name)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
+def check_positive(value, name: str) -> float:
+    """check_real, also refusing a step or horizon not finite and positive."""
+    value = check_real(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive, got {value}")
+    return value
+
+
+def check_rank_tol(value, name: str) -> float:
+    """check_real, also refusing a relative rank threshold outside [0, 1)."""
+    value = check_real(value, name)
+    if not 0.0 <= value < 1.0:
+        raise ValidationError(f"{name} must be in [0, 1), got {value!r}")
+    return value
+
+
+def check_count(value, name: str) -> int:
+    """A count as an int, refused unless a non-negative integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def as_even_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -292,10 +321,8 @@ def build_partition_permutation(m_a: int, m_b: int) -> np.ndarray:
     the skew form into a direct sum: P J_2m P.T = diag(J_2ma, J_2mb)
     exactly.
     """
-    if m_a < 0 or m_b < 0:
-        raise ValidationError(
-            f"group sizes must be nonnegative, got ({m_a}, {m_b})"
-        )
+    m_a = check_count(m_a, "m_a")
+    m_b = check_count(m_b, "m_b")
     m = m_a + m_b
     p = np.zeros((2 * m, 2 * m))
     for i in range(m_a):
@@ -382,9 +409,7 @@ def special_svd(a, rank_tol: float = RANK_TOL) -> SpecialSvd:
     with u and v orthogonal.  A rank_tol that is not a real number, or one
     outside [0, 1), NaN included, raises ValidationError.
     """
-    check_real(rank_tol, "rank_tol")
-    if not 0.0 <= rank_tol < 1.0:
-        raise ValidationError(f"rank_tol must be in [0, 1), got {rank_tol!r}")
+    rank_tol = check_rank_tol(rank_tol, "rank_tol")
     arr = as_even_matrix(a, "special_svd input")
     two_r, two_s = arr.shape
     r, s = two_r // 2, two_s // 2

@@ -33,7 +33,8 @@ from .symcore import (
     RESIDUAL_TOL,
     as_even_matrix,
     as_square_matrix,
-    check_real,
+    check_count,
+    check_rank_tol,
     check_symmetric,
     check_symplectic,
     j_times,
@@ -75,18 +76,9 @@ class SynthOptions:
     rank_tol: float = RANK_TOL
 
     def __post_init__(self):
-        m = self.m
-        if m is not None and (
-            isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0
-        ):
-            raise ValidationError(
-                f"m must be a nonnegative integer, got {m!r}"
-            )
-        check_real(self.rank_tol, "rank_tol")
-        if not 0.0 <= self.rank_tol < 1.0:
-            raise ValidationError(
-                f"rank_tol must be in [0, 1), got {self.rank_tol!r}"
-            )
+        if self.m is not None:
+            check_count(self.m, "m")
+        check_rank_tol(self.rank_tol, "rank_tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +100,7 @@ class FeedbackRealization:
     r_b: np.ndarray
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValidationError(f"channel count must be nonnegative, got {self.m}")
+        check_count(self.m, "m")
         width = 2 * self.m
         c_a = as_even_matrix(self.c_a, "c_a")
         c_b = as_even_matrix(self.c_b, "c_b")
@@ -204,15 +195,9 @@ def _corrected(r_bar: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _resolve_diag(values, name: str, m: int) -> np.ndarray:
-    if values is None:
-        return np.ones(m)
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.shape[0] != m:
-        raise ValidationError(
-            f"{name} must have one entry per channel ({m}), got {arr.shape[0]}"
-        )
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+    arr = np.ones(m) if values is None else np.asarray(values, float).reshape(-1)
+    if arr.shape != (m,) or not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must have {m} finite entries, got {values!r}")
     return arr
 
 

@@ -11,7 +11,6 @@ realizations and reports their worst-case deviation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,11 @@ from .symcore import (
     SYM_FLAG_TOL,
     as_even_matrix,
     as_square_matrix,
-    check_real,
+    check_positive,
     check_sharp_skew,
     check_symmetric,
     check_symplectic,
+    check_tolerance,
     max_abs,
     scale,
 )
@@ -153,9 +153,7 @@ def check_equivalence(
     non-negative real number, and AlgebraicLoopError when sigma has an
     eigenvalue so close to one that loop elimination is ill-conditioned.
     """
-    check_real(tol, "tol")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
+    tol = check_tolerance(tol, "tol")
     di = interaction
     fr = realization
     direct = direct_dynamics(di)
@@ -329,12 +327,8 @@ def simulate_moments(
     Raises DivergenceError with the time of the first non-finite sample
     when the state leaves floating-point range.
     """
-    check_real(t_final, "t_final")
-    check_real(dt, "dt")
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValidationError(f"t_final must be positive, got {t_final}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be positive, got {dt}")
+    t_final = check_positive(t_final, "t_final")
+    dt = check_positive(dt, "dt")
     a = as_square_matrix(dynamics.a, "a")
     b_ext = as_even_matrix(dynamics.b_ext, "b_ext")
     dim = a.shape[0]
@@ -356,27 +350,15 @@ def simulate_moments(
     n_steps = int(steps)
     q = 0.5 * b_ext @ b_ext.T
 
-    if mean0 is None:
-        mu = np.zeros(dim)
-    else:
-        mu = np.asarray(mean0, dtype=float).reshape(-1)
-        if mu.shape[0] != dim:
-            raise ValidationError(
-                f"mean0 must have length {dim}, got {mu.shape[0]}"
-            )
+    mu = np.zeros(dim) if mean0 is None else np.asarray(mean0, float).reshape(-1)
+    if mu.shape != (dim,) or not np.isfinite(mu).all():
+        raise ValidationError(f"mean0 must have {dim} finite entries, got {mu.shape}")
     if cov0 is None:
         p = 0.5 * np.eye(dim)
     else:
-        p = np.asarray(cov0, dtype=float)
-        if p.shape != (dim, dim):
-            raise ValidationError(
-                f"cov0 must be {dim} x {dim}, got {p.shape}"
-            )
-    if (mu.size and not np.all(np.isfinite(mu))) or (
-        p.size and not np.all(np.isfinite(p))
-    ):
-        raise ValidationError("initial moments contain non-finite entries")
-    if cov0 is not None:
+        p = as_square_matrix(cov0, "cov0")
+        if p.shape[0] != dim:
+            raise ValidationError(f"cov0 must be {dim} x {dim}, got {p.shape}")
         check_symmetric(p, "cov0", COV_SYM_TOL)
         p = 0.5 * (p + p.T)
 

@@ -552,6 +552,38 @@ class TestTopLevel:
         assert "--sim-tol" in documented
         assert sorted(documented - accepted) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "synth --tol=-1",
+            "synth --tol=nan",
+            "synth --tol=inf",
+            "synth --rank-tol=2",
+            "synth --rank-tol=nan",
+            "synth --m=-1",
+            "synth --m=2.5",
+            "verify --sim-tol=-1",
+            *(
+                f"verify --simulate {pair}"
+                for bad in ("0", "-1", "nan", "inf")
+                for pair in (f"{bad} 1e-3", f"1 {bad}")
+            ),
+            "simulate --t-final 0",
+            "simulate --dt -1",
+        ],
+    )
+    def test_bad_flag_is_refused_before_any_document_is_read(self, tmp_path, capsys, argv):
+        # The problem (and report) paths do not exist: a flag checked only
+        # after loading would report the missing file instead.
+        command, *flags = argv.split()
+        missing = str(tmp_path / "missing.json")
+        documents = [missing, missing] if command == "verify" else [missing]
+        code, out, err = run([command, *documents, *flags], capsys)
+        assert code == 1
+        assert flags[0].split("=")[0] in err
+        assert "cannot read" not in err
+        assert out == ""
+
     def test_version_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "hamlink", "--version"],

@@ -348,7 +348,46 @@ class TestLoaderDiagnostics:
             d["r_ab"] = [row[:4] for row in d["r_ab"]]
 
         path = self.write(tmp_path, shrink)
-        with pytest.raises(ValidationError, match="has 4 columns, expected 6"):
+        with pytest.raises(
+            ValidationError, match=r"p\.json: r_ab must be 4 x 6, got \(4, 4\)"
+        ):
+            load_problem(path)
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (
+                lambda d: d.update(c_bar_b=[row[:-1] for row in d["c_bar_b"]]),
+                r"p\.json: system b: c must have even dimensions .* \(6, 5\)",
+            ),
+            (
+                lambda d: d.update(c_bar_b=[row[:-2] for row in d["c_bar_b"]]),
+                r"p\.json: system b: c must have 6 columns, got 4",
+            ),
+            (
+                lambda d: d.update(d_bar_a=np.eye(2).tolist()),
+                r"p\.json: system a: d must be 4 x 4, got \(2, 2\)",
+            ),
+            (
+                lambda d: d.update(r_ab=[row[:-1] for row in d["r_ab"]]),
+                r"p\.json: r_ab must have even dimensions .* \(4, 5\)",
+            ),
+        ],
+        ids=["c_bar_b-short", "c_bar_b-pair-short", "d_bar_a-size", "r_ab-short"],
+    )
+    def test_problem_shape_refusal_names_file_and_field(self, tmp_path, mutate, message):
+        # The loader reads rows; the containers refuse the shapes, and the
+        # loader adds the file and the system to their message.
+        path = self.write(tmp_path, mutate)
+        with pytest.raises(ValidationError, match=message):
+            load_problem(path)
+
+    @pytest.mark.parametrize("m", [-1, 2.5, True, "2"])
+    def test_bad_option_channel_count_names_file_and_field(self, tmp_path, m):
+        path = self.write(tmp_path, lambda d: d["options"].update(m=m))
+        with pytest.raises(
+            ValidationError, match=r"p\.json: m must be a nonnegative integer"
+        ):
             load_problem(path)
 
     def test_wrong_format_marker(self, tmp_path):
@@ -415,10 +454,9 @@ class TestLoaderDiagnostics:
                 lambda d: d["c_a"].extend(d["c_a"][:2]),
                 "c_a must have 4 rows, got 6",
             ),
-            # r_a is checked square before its width sets c_a's columns.
             (
                 lambda d: d.update(r_a=[row[:-2] for row in d["r_a"]]),
-                "'r_a' must be square, got 4 x 2",
+                r"r\.json: r_a must be 4 x 4, got \(4, 2\)",
             ),
             (
                 lambda d: d["c_b"].extend(d["c_b"][:2]),
@@ -426,7 +464,7 @@ class TestLoaderDiagnostics:
             ),
             (
                 lambda d: d.update(r_b=[row[:-2] for row in d["r_b"]]),
-                "'r_b' must be square, got 6 x 4",
+                r"r\.json: r_b must be 6 x 6, got \(6, 4\)",
             ),
             (lambda d: d["x"].pop(), r"x must have even dimensions .* \(3, 4\)"),
             (
@@ -460,5 +498,27 @@ class TestLoaderDiagnostics:
         doc = json.loads(path.read_text())
         doc.update(m=0, c_a=[], c_b=[])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="'x' has 4 columns, expected 0"):
+        with pytest.raises(
+            ValidationError, match=r"r\.json: x and sigma must be 0 x 0, got \(4, 4\)"
+        ):
+            load_report(path)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (-1, r"r\.json: m must be a nonnegative integer, got -1"),
+            (10**400, r"r\.json: c_a must have \d{401} rows, got 0"),
+        ],
+        ids=["negative", "past-any-array"],
+    )
+    def test_report_channel_count_with_empty_matrices(self, tmp_path, m, message):
+        # Empty matrices take their width from c_a's rows, not from m, so a
+        # bad m reaches the container instead of sizing an array.
+        fr, report, _ = TestReportRoundTrip().make_report(tmp_path)
+        path = tmp_path / "r.json"
+        save_report(fr, report, {"tool": "hamlink"}, path)
+        doc = json.loads(path.read_text())
+        doc.update(m=m, c_a=[], c_b=[], x=[], sigma=[])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
             load_report(path)

@@ -3,8 +3,9 @@ module multiplies by a dense J, channel synthesis has no Python loop, no
 module pays for a condition-number SVD or a LAPACK solve, the Cayley step
 of synthesis is closed form, the moment integrator's step loop only writes
 into preallocated buffers, inputs are validated once, where they enter, and
-each threshold and the residual scale are defined once, in symcore, and
-each public name is declared once, in one module's __all__."""
+each threshold, each scalar rule and the residual scale are defined once,
+in symcore, and each public name is declared once, in one module's
+__all__."""
 
 import ast
 import sys
@@ -340,6 +341,53 @@ def test_thresholds_are_assigned_only_in_symcore():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if path.name != "symcore.py"
         and (found := threshold_assignments(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def math_isfinite_calls(source: str) -> list[int]:
+    """Line numbers of calls to math.isfinite, by attribute or by a bare
+    name imported from math."""
+    tree = ast.parse(source)
+    bare = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+        if alias.name == "isfinite"
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "isfinite"
+            and getattr(node.func.value, "id", None) == "math"
+            or getattr(node.func, "id", None) in bare
+        )
+    )
+
+
+def test_detector_sees_math_isfinite_calls():
+    source = (
+        "import math\n"
+        "from math import isfinite as finite\n"
+        "ok = math.isfinite(tol) and tol >= 0\n"
+        "ok = finite(dt)\n"
+        "ok = np.isfinite(a).all()\n"
+        "ok = isfinite(x)\n"
+    )
+    assert math_isfinite_calls(source) == [3, 4]
+
+
+def test_scalar_rules_live_only_in_symcore():
+    # Tolerances, steps, rank_tol and counts are checked by symcore's
+    # rules, which the library and the CLI's flag types share.
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "symcore.py" and (lines := math_isfinite_calls(path.read_text()))
     }
     assert offenders == {}
 

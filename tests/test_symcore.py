@@ -66,6 +66,14 @@ class TestJmat:
         with pytest.raises(ValidationError):
             jmat(-1)
 
+    @pytest.mark.parametrize("k", [True, 1.0, "1"])
+    def test_rejects_a_count_that_is_not_an_integer(self, k):
+        with pytest.raises(ValidationError, match="mode count must be a nonnegative integer"):
+            jmat(k)
+
+    def test_accepts_a_numpy_integer(self):
+        assert np.array_equal(jmat(np.int64(2)), jmat(2))
+
 
 class TestSharpAdjoint:
     def test_matches_elementwise_oracle(self):
@@ -344,6 +352,10 @@ class TestPartitionPermutation:
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValidationError):
             build_partition_permutation(-1, 2)
+
+    def test_rejects_a_size_that_is_not_an_integer(self):
+        with pytest.raises(ValidationError, match="m_b must be a nonnegative integer"):
+            build_partition_permutation(1, 1.5)
 
 
 class TestQuadratureEmbeddings:

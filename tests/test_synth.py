@@ -479,3 +479,14 @@ class TestInputValidation:
         r_ab[0, 0] = np.inf
         with pytest.raises(ValidationError):
             synthesize(np.zeros((4, 4)), np.zeros((6, 6)), r_ab)
+
+    @pytest.mark.parametrize("field", ["y1", "y2", "ga1", "ga2"])
+    @pytest.mark.parametrize(
+        "values", [(1.0,), (1.0, 1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))]
+    )
+    def test_per_channel_vector_of_wrong_length_or_not_finite(self, field, values):
+        # The demo needs m = 2: one finite entry per channel.
+        di = demo_problem().interaction
+        options = SynthOptions(**{field: values})
+        with pytest.raises(ValidationError, match=f"{field} must have 2 finite entries"):
+            synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
