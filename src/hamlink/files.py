@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .lqss import DirectInteraction, LqssParams
-from .symcore import RANK_TOL
+from .symcore import RANK_TOL, check_count
 from .synth import FeedbackRealization, SynthOptions
 from .verify import EquivalenceReport, MomentTrajectory
 
@@ -79,23 +79,19 @@ def _load_json(path: Path):
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return doc
+    except ValidationError:  # a NaN or Infinity literal, already named
+        raise
+    except ValueError:  # an integer past Python's limit on digits
+        raise ValidationError(f"{path}: an integer has too many digits to read") from None
 
 
 def _get(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValidationError(f"{where}: missing field '{key}'")
     return doc[key]
-
-
-def _as_int(doc: dict, key: str, where: str) -> int:
-    value = _get(doc, key, where)
-    if type(value) is not int:
-        raise ValidationError(f"{where}: field '{key}' must be an integer")
-    return value
 
 
 _NUMBER_TYPES = {int, float}
@@ -181,9 +177,6 @@ def _options_to_dict(options: SynthOptions) -> dict:
 def _options_from_dict(doc: dict, where: str) -> SynthOptions:
     p_raw = doc.get("p")
     p = None if p_raw is None else _as_matrix(p_raw, "p", where)
-    rank_tol = doc.get("rank_tol", RANK_TOL)
-    if type(rank_tol) not in _NUMBER_TYPES:
-        raise ValidationError(f"{where}: field 'rank_tol' must be a number")
     try:
         return SynthOptions(
             m=doc.get("m"),
@@ -192,7 +185,7 @@ def _options_from_dict(doc: dict, where: str) -> SynthOptions:
             ga1=_as_vector(doc.get("ga1"), "ga1", where),
             ga2=_as_vector(doc.get("ga2"), "ga2", where),
             p=p,
-            rank_tol=float(_floats(rank_tol, "rank_tol", where)),
+            rank_tol=doc.get("rank_tol", RANK_TOL),
         )
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -228,9 +221,12 @@ def _system_from_doc(doc: dict, where: str, side: str) -> LqssParams:
     n_key, r_key, c_key, d_key = (
         f"{key}_{side}" for key in ("n", "r_bar", "c_bar", "d_bar")
     )
-    n = _as_int(doc, n_key, where)
-    if n <= 0:
-        raise ValidationError(f"{where}: '{n_key}' must be positive")
+    n = _get(doc, n_key, where)
+    try:
+        if check_count(n, n_key) == 0:
+            raise ValidationError(f"'{n_key}' must be positive")
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     r = _as_matrix(_get(doc, r_key, where), r_key, where)
     c = _as_matrix(_get(doc, c_key, where), c_key, where, cols=2 * n)
     d = _as_matrix(_get(doc, d_key, where), d_key, where, cols=c.shape[0])
@@ -358,7 +354,7 @@ def load_report(path) -> ReportDoc:
     doc = _load_json(path)
     _check_header(doc, path, REPORT_FORMAT)
     where = str(path)
-    m = _as_int(doc, "m", where)
+    m = _get(doc, "m", where)
     # An empty matrix is written as [] and loses its column count: r_a, r_b
     # and c_a's rows restore it, and FeedbackRealization checks every shape.
     r_a = _as_matrix(_get(doc, "r_a", where), "r_a", where)

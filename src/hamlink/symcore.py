@@ -72,12 +72,12 @@ def check_real(value, name: str) -> float:
     OverflowError from a later comparison, or True taken as 1.  The range
     of the value is checked by the rules below, one per kind of parameter.
     """
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # not printed: it can have any number of digits
+        raise ValidationError(f"{name} is too large for a float") from None
 
 
 def check_tolerance(value, name: str) -> float:
@@ -105,8 +105,12 @@ def check_rank_tol(value, name: str) -> float:
 
 
 def check_count(value, name: str) -> int:
-    """A count as an int, refused unless a non-negative integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    """A count as an int, refused unless an integer in [0, 2**62], not a bool:
+    twice a count must fit an array size, and a larger one is not printed."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integer and not -(2**62) <= value <= 2**62:
+        raise ValidationError(f"{name} must be a nonnegative integer up to 2**62")
+    if not integer or value < 0:
         raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
 
@@ -213,14 +217,12 @@ def symplectic_defect(t) -> float:
     return _symplectic_residual(as_square_matrix(t, "symplectic_defect input"))
 
 
-def check_symplectic(t, name: str, tol: float) -> np.ndarray:
-    """t as a square even array; ValidationError naming it unless its
+def check_symplectic(t: np.ndarray, name: str, tol: float) -> None:
+    """ValidationError naming the square even float array t unless its
     symplectic defect <= tol * scale(t)**2."""
-    arr = as_square_matrix(t, name)
-    defect = _symplectic_residual(arr)
-    if not defect <= tol * scale(arr) ** 2:
+    defect = _symplectic_residual(t)
+    if not defect <= tol * scale(t) ** 2:
         raise ValidationError(f"{name} must be symplectic (defect {defect:.3e})")
-    return arr
 
 
 def is_symplectic(t, tol: float = GAIN_TOL) -> bool:
@@ -234,14 +236,12 @@ def sharp_skew_defect(x) -> float:
     return max_abs(arr + sharp(arr))
 
 
-def check_sharp_skew(x, name: str, tol: float) -> np.ndarray:
-    """x as a square even array; ValidationError naming it unless its J-skew
+def check_sharp_skew(x: np.ndarray, name: str, tol: float) -> None:
+    """ValidationError naming the square even float array x unless its J-skew
     defect <= tol * scale(x)."""
-    arr = as_square_matrix(x, name)
-    defect = max_abs(arr + sharp(arr))
-    if not defect <= tol * scale(arr):
+    defect = max_abs(x + sharp(x))
+    if not defect <= tol * scale(x):
         raise ValidationError(f"{name} must be J-skew (defect {defect:.3e})")
-    return arr
 
 
 def is_sharp_skew(x, tol: float = GAIN_TOL) -> bool:
@@ -292,7 +292,8 @@ def cayley_sigma_from_x(x) -> np.ndarray:
     AlgebraicLoopError when X + I is singular or nearly so, which happens
     exactly when X has an eigenvalue at minus one.
     """
-    arr = check_sharp_skew(x, "cayley input", LOOP_TOL)
+    arr = as_square_matrix(x, "cayley input")
+    check_sharp_skew(arr, "cayley input", LOOP_TOL)
     eye = np.eye(arr.shape[0])
     # (X - I)(X + I)^-1 computed as a transposed solve to avoid an explicit
     # inverse; (X - I) and (X + I)^-1 commute, so the order is immaterial.
@@ -306,7 +307,8 @@ def cayley_x_from_sigma(sigma) -> np.ndarray:
     AlgebraicLoopError when S has an eigenvalue at one, in which case no
     finite J-skew preimage exists.
     """
-    arr = check_symplectic(sigma, "cayley inverse input", LOOP_TOL)
+    arr = as_square_matrix(sigma, "cayley inverse input")
+    check_symplectic(arr, "cayley inverse input", LOOP_TOL)
     eye = np.eye(arr.shape[0])
     return guarded_solve((eye - arr).T, (eye + arr).T, "I - sigma").T
 

@@ -132,14 +132,6 @@ class FeedbackRealization:
         ):
             object.__setattr__(self, name, mat)
 
-    @property
-    def n_a(self) -> int:
-        return self.c_a.shape[1] // 2
-
-    @property
-    def n_b(self) -> int:
-        return self.c_b.shape[1] // 2
-
 
 def min_channels(r_ab, rank_tol: float = RANK_TOL) -> int:
     """Minimum feasible interconnection channel count for a coupling.

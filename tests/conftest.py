@@ -1,6 +1,8 @@
-"""Shared random-matrix generators for the test suite."""
+"""Shared random-matrix generators and document helpers for the test suite."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 from scipy.linalg import expm
@@ -39,3 +41,13 @@ def random_coupling_of_rank(
     left = rng.normal(scale=scale, size=(2 * n_a, rank))
     right = rng.normal(size=(rank, 2 * n_b))
     return left @ right
+
+
+# A placeholder for a JSON integer of 5000 digits, more than the 4300 that
+# Python converts by default.  json.dumps cannot write such an integer, so a
+# document carries LONG and with_long_integer puts the digits in its text.
+LONG = "<5000 digits>"
+
+
+def with_long_integer(text: str) -> str:
+    return text.replace(json.dumps(LONG), "9" * 5000)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import LONG, with_long_integer
 from hamlink import (
     DAMPING_RATE,
     DirectInteraction,
@@ -179,6 +180,26 @@ class TestSynth:
         code, _, err = run(["synth", str(problem), "--p-matrix", str(p_path)], capsys)
         assert code == 1
         assert "documents cannot contain NaN" in err
+
+    @pytest.mark.parametrize("document", ["problem", "p-matrix"])
+    def test_integer_past_the_digit_limit_is_exit_1(self, demo_paths, tmp_path, document):
+        # Run as a process: an exception that escaped main would print a
+        # traceback there.
+        problem, _ = demo_paths
+        argv = [sys.executable, "-m", "hamlink", "synth", str(problem)]
+        if document == "problem":
+            doc = json.loads(problem.read_text())
+            doc["options"]["m"] = LONG
+            problem.write_text(with_long_integer(json.dumps(doc)))
+            bad = problem
+        else:
+            bad = tmp_path / "p_long.json"
+            bad.write_text(with_long_integer(json.dumps([[LONG, 0], [0, 1]])))
+            argv += ["--p-matrix", str(bad)]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert f"{bad}: an integer has too many digits to read" in result.stderr
 
     @pytest.mark.parametrize(
         "flag,needle",
@@ -562,6 +583,7 @@ class TestTopLevel:
             "synth --rank-tol=nan",
             "synth --m=-1",
             "synth --m=2.5",
+            pytest.param(f"synth --m={'9' * 400}", id="synth --m=<400 nines>"),
             "verify --sim-tol=-1",
             *(
                 f"verify --simulate {pair}"

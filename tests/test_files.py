@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_symmetric, random_symplectic
+from conftest import LONG, random_symmetric, random_symplectic, with_long_integer
 from hamlink import (
     Problem,
     SynthOptions,
@@ -330,17 +330,43 @@ class TestLoaderDiagnostics:
                 load_problem(path)
 
     @pytest.mark.parametrize(
-        "field,mutate",
+        "message,mutate",
         [
-            ("r_ab", lambda d: d["r_ab"][1].__setitem__(2, 10**400)),
-            ("y1", lambda d: d["options"].update(y1=[1.0, -(10**400)])),
-            ("rank_tol", lambda d: d["options"].update(rank_tol=10**400)),
+            (
+                "'r_ab' has an integer too large",
+                lambda d: d["r_ab"][1].__setitem__(2, 10**400),
+            ),
+            (
+                "'y1' has an integer too large",
+                lambda d: d["options"].update(y1=[1.0, -(10**400)]),
+            ),
+            (
+                r"p\.json: rank_tol is too large for a float$",
+                lambda d: d["options"].update(rank_tol=10**400),
+            ),
         ],
         ids=["r_ab", "y1", "rank_tol"],
     )
-    def test_integer_too_large_for_a_float_is_named(self, tmp_path, field, mutate):
+    def test_integer_too_large_for_a_float_is_named(self, tmp_path, message, mutate):
         path = self.write(tmp_path, mutate)
-        with pytest.raises(ValidationError, match=f"'{field}' has an integer too large"):
+        with pytest.raises(ValidationError, match=message):
+            load_problem(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(n_a=LONG),
+            lambda d: d["options"].update(m=LONG),
+            lambda d: d["r_ab"][0].__setitem__(0, LONG),
+        ],
+        ids=["n_a", "m", "r_ab"],
+    )
+    def test_integer_past_the_digit_limit_is_refused(self, tmp_path, mutate):
+        # json cannot turn more than 4300 digits into an int; the refusal
+        # names the file instead of escaping as a plain ValueError.
+        path = self.write(tmp_path, mutate)
+        path.write_text(with_long_integer(path.read_text()))
+        with pytest.raises(ValidationError, match=r"p\.json: an integer has too many digits"):
             load_problem(path)
 
     def test_wrong_column_count(self, tmp_path):
@@ -388,6 +414,22 @@ class TestLoaderDiagnostics:
         with pytest.raises(
             ValidationError, match=r"p\.json: m must be a nonnegative integer"
         ):
+            load_problem(path)
+
+    @pytest.mark.parametrize(
+        "n_a, message",
+        [
+            (0, r"p\.json: 'n_a' must be positive"),
+            (-1, r"p\.json: n_a must be a nonnegative integer, got -1"),
+            (2.0, r"p\.json: n_a must be a nonnegative integer, got 2\.0"),
+            (True, r"p\.json: n_a must be a nonnegative integer, got True"),
+            (10**400, r"p\.json: n_a must be a nonnegative integer up to 2\*\*62$"),
+        ],
+        ids=["zero", "negative", "float", "bool", "past-any-array"],
+    )
+    def test_bad_mode_count_names_file_and_field(self, tmp_path, n_a, message):
+        path = self.write(tmp_path, lambda d: d.update(n_a=n_a))
+        with pytest.raises(ValidationError, match=message):
             load_problem(path)
 
     def test_wrong_format_marker(self, tmp_path):
@@ -507,9 +549,10 @@ class TestLoaderDiagnostics:
         "m, message",
         [
             (-1, r"r\.json: m must be a nonnegative integer, got -1"),
-            (10**400, r"r\.json: c_a must have \d{401} rows, got 0"),
+            (10**400, r"r\.json: m must be a nonnegative integer up to 2\*\*62$"),
+            (LONG, r"r\.json: an integer has too many digits to read$"),
         ],
-        ids=["negative", "past-any-array"],
+        ids=["negative", "past-any-array", "past-the-digit-limit"],
     )
     def test_report_channel_count_with_empty_matrices(self, tmp_path, m, message):
         # Empty matrices take their width from c_a's rows, not from m, so a
@@ -519,6 +562,6 @@ class TestLoaderDiagnostics:
         save_report(fr, report, {"tool": "hamlink"}, path)
         doc = json.loads(path.read_text())
         doc.update(m=m, c_a=[], c_b=[], x=[], sigma=[])
-        path.write_text(json.dumps(doc))
+        path.write_text(with_long_integer(json.dumps(doc)))
         with pytest.raises(ValidationError, match=message):
             load_report(path)

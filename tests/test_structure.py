@@ -12,7 +12,19 @@ import sys
 from pathlib import Path
 
 import hamlink
-from hamlink import check_equivalence, demo_problem, symcore, synth, synthesize, verify
+from hamlink import (
+    LqssParams,
+    check_equivalence,
+    demo_problem,
+    load_problem,
+    load_report,
+    save_problem,
+    save_report,
+    symcore,
+    synth,
+    synthesize,
+    verify,
+)
 
 PACKAGE_DIR = Path(hamlink.__file__).resolve().parent
 
@@ -242,13 +254,9 @@ def test_moment_step_loop_writes_into_preallocated_buffers():
     assert deepest_loop_binops(source, "simulate_moments") == []
 
 
-def test_pipeline_validates_only_its_inputs(monkeypatch):
-    # Count as_even_matrix calls through every module binding of it.  On the
-    # demo, synthesize checks r_bar_a, r_bar_b and r_ab, special_svd checks
-    # its argument, and FeedbackRealization its six matrices: 10; the Cayley
-    # step is closed form.  check_equivalence checks only x and sigma for its
-    # structural flags: 2.  The stages in between trust what they are given.
-    di = demo_problem().interaction
+def count_coercions(monkeypatch) -> list[str]:
+    """Patch every module binding of as_even_matrix to record the name of
+    each array it coerces, and return the list it records into."""
     original = symcore.as_even_matrix
     names = []
 
@@ -265,11 +273,44 @@ def test_pipeline_validates_only_its_inputs(monkeypatch):
     assert symcore in bound
     for module in bound:
         monkeypatch.setattr(module, "as_even_matrix", counting)
+    return names
 
+
+def test_pipeline_validates_only_its_inputs(monkeypatch):
+    # On the demo, synthesize checks r_bar_a, r_bar_b and r_ab, special_svd
+    # checks its argument, and FeedbackRealization its six matrices: 10; the
+    # Cayley step is closed form.  check_equivalence takes x and sigma as
+    # the container coerced them, so its structural flags coerce nothing.
+    # The stages in between trust what they are given.
+    di = demo_problem().interaction
+    names = count_coercions(monkeypatch)
     fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
     synth_names, names[:] = list(names), []
     check_equivalence(di, fr)
-    assert (len(synth_names), len(names)) == (10, 2), (synth_names, names)
+    assert (len(synth_names), len(names)) == (10, 0), (synth_names, names)
+
+
+def test_each_entry_point_coerces_each_array_once(monkeypatch, tmp_path):
+    # An LqssParams coerces r, c and d, and checks d's symplectic defect on
+    # the array it coerced: 3.  load_problem builds two of them and a
+    # DirectInteraction, which coerces r_ab: 7.  load_report builds one
+    # FeedbackRealization, which coerces its six matrices: 6.
+    problem = demo_problem()
+    di = problem.interaction
+    fr = synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+    save_problem(problem, tmp_path / "p.json")
+    save_report(fr, check_equivalence(di, fr), {}, tmp_path / "r.json")
+    names = count_coercions(monkeypatch)
+    counts = []
+    for build in (
+        lambda: LqssParams(n=di.sys_a.n, r=di.sys_a.r, c=di.sys_a.c, d=di.sys_a.d),
+        lambda: load_problem(tmp_path / "p.json"),
+        lambda: load_report(tmp_path / "r.json"),
+    ):
+        names[:] = []
+        build()
+        counts.append(len(names))
+    assert counts == [3, 7, 6], names
 
 
 def threshold_assignments(source: str) -> list[str]:

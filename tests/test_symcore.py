@@ -74,6 +74,15 @@ class TestJmat:
     def test_accepts_a_numpy_integer(self):
         assert np.array_equal(jmat(np.int64(2)), jmat(2))
 
+    @pytest.mark.parametrize(
+        "k", [2**62 + 1, 10**400, -(10**400)], ids=["2**62+1", "1e400", "-1e400"]
+    )
+    def test_rejects_a_count_past_any_array_without_printing_it(self, k):
+        with pytest.raises(
+            ValidationError, match=r"^mode count must be a nonnegative integer up to 2\*\*62$"
+        ):
+            jmat(k)
+
 
 class TestSharpAdjoint:
     def test_matches_elementwise_oracle(self):
@@ -233,6 +242,27 @@ class TestCayley:
     def test_rejects_non_symplectic(self):
         with pytest.raises(ValidationError):
             cayley_x_from_sigma(2.0 * np.eye(4))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.zeros((2, 4)), r"must be square, got shape \(2, 4\)"),
+            (np.zeros((3, 3)), r"must have even dimensions .*, got shape \(3, 3\)"),
+            (np.full((2, 2), np.nan), "contains non-finite entries"),
+        ],
+        ids=["non-square", "odd", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "cayley, name",
+        [
+            (cayley_sigma_from_x, "cayley input"),
+            (cayley_x_from_sigma, "cayley inverse input"),
+        ],
+        ids=["forward", "inverse"],
+    )
+    def test_rejects_malformed_input(self, cayley, name, value, message):
+        with pytest.raises(ValidationError, match=f"^{name} {message}"):
+            cayley(value)
 
     def test_eigenvalue_at_minus_one_is_algebraic_loop(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])  # J-skew with eigenvalues +-1
