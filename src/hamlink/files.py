@@ -177,15 +177,11 @@ def _options_to_dict(options: SynthOptions) -> dict:
 def _options_from_dict(doc: dict, where: str) -> SynthOptions:
     p_raw = doc.get("p")
     p = None if p_raw is None else _as_matrix(p_raw, "p", where)
+    # Read before the try: their messages already name the file.
+    vectors = {k: _as_vector(doc.get(k), k, where) for k in ("y1", "y2", "ga1", "ga2")}
     try:
         return SynthOptions(
-            m=doc.get("m"),
-            y1=_as_vector(doc.get("y1"), "y1", where),
-            y2=_as_vector(doc.get("y2"), "y2", where),
-            ga1=_as_vector(doc.get("ga1"), "ga1", where),
-            ga2=_as_vector(doc.get("ga2"), "ga2", where),
-            p=p,
-            rank_tol=doc.get("rank_tol", RANK_TOL),
+            m=doc.get("m"), p=p, rank_tol=doc.get("rank_tol", RANK_TOL), **vectors
         )
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc

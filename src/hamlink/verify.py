@@ -292,14 +292,16 @@ def simulate_moments(
     factors (see _packed_step_matrix), and the trajectory is filled by
     doubling: once states 0 .. h - 1 are known, one matrix-matrix product
     of their packed rows with M^h gives states h .. 2h - 1, and squaring
-    M^h gives the next power.  Once h reaches the stride B, each product
-    advances the last B states by B steps, alternating between the halves
-    of a 2B-row packed buffer; each product's rows are checked for
-    finiteness and expanded into the stored z with one np.take.  B is the
-    largest power of two up to _DIVERGENCE_CHECK_STEPS (64) whose log2(B)
-    squarings cost at most 2**16 multiply-adds per step of the run, cut at
-    the last power before one with a non-finite entry (see _step_powers);
-    B = 1 is one matrix-vector product per step.
+    M^h right after that product gives the next power, so the fill holds
+    one power at a time.  Once h reaches the stride B, each product
+    advances the last B states by B steps with M^B, alternating between the
+    halves of a 2B-row packed buffer; each product's rows are checked for
+    finiteness and expanded into the stored z with one np.take.  B is fixed
+    before the fill as the largest power of two up to
+    _DIVERGENCE_CHECK_STEPS (64) and n_steps whose log2(B) squarings cost
+    at most 2**16 multiply-adds per step of the run; the doubling stops
+    early, and B with it, at the last power before one with a non-finite
+    entry.  B = 1 is one matrix-vector product per step.
     Larger states take the split step itself: two matrix products, an
     addition and a transposed addition, each written into a preallocated
     buffer.  Either way every sample is exactly symmetric by construction.
@@ -393,10 +395,20 @@ def simulate_moments(
     z[0, dim, dim] = 1.0
     packed = dim <= _KRON_STEP_MAX_DIM
     if packed:
-        step, expand = _packed_step_matrix(left, rhat, half_c)
-        powers = _step_powers(step, n_steps)
-        b = 2 ** (len(powers) - 1)
-        zp = np.empty((2 * b, step.shape[0]))
+        power, expand = _packed_step_matrix(left, rhat, half_c)
+        s = power.shape[0]
+        # The stride b is the largest power of two up to
+        # _DIVERGENCE_CHECK_STEPS and n_steps (a longer stride is never used)
+        # whose log2(b) squarings, s**3 multiply-adds each, come to at most
+        # 2**16 multiply-adds per step of the run, about what a step saves by
+        # being a row of a matrix-matrix product rather than a call of its
+        # own.  Measured (same host as _KRON_STEP_MAX_DIM, medians of 9 runs
+        # in shuffled order, dims 2 to 20, 16 to 2000 steps): this b took at
+        # most 18% longer than the fastest of b = 1, 4, 16 and 64, and mostly
+        # as long within noise.
+        cap = min(_DIVERGENCE_CHECK_STEPS, n_steps)
+        b = 2 ** min(cap.bit_length() - 1, 2**16 * n_steps // s**3)
+        zp = np.empty((2 * b, s))
         zp[0] = z[0][np.triu_indices(aug)]
         flat = z.reshape(n_steps + 1, -1)
     else:
@@ -410,20 +422,30 @@ def simulate_moments(
     # worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if packed:
-            # States 0 .. done - 1 are known, state i in row i mod 2b of zp.
-            # One product of the last h of them with M^h writes the next h:
-            # h doubles until it reaches the stride b.
+            # States 0 .. done - 1 are known, state i in row i mod len(zp).
+            # One product of the last h of them with power = M^h writes the
+            # next h: h doubles, and power is squared, until h reaches the
+            # stride b.
             done = 1
             while done <= n_steps:
                 h = min(done, b)
                 n = min(h, n_steps + 1 - done)
-                src, dst = (done - h) % (2 * b), done % (2 * b)
+                src, dst = (done - h) % len(zp), done % len(zp)
                 block = zp[dst : dst + n]
-                np.dot(zp[src : src + n], powers[h.bit_length() - 1], out=block)
+                np.dot(zp[src : src + n], power, out=block)
                 _check_finite(block, done, dt)
                 # The indices are in range by construction; "clip" lets
                 # take write straight into z instead of a copy.
                 np.take(block, expand, axis=1, out=flat[done : done + n], mode="clip")
+                if h == done and 2 * h <= b:
+                    square = power @ power
+                    if np.isfinite(square).all():
+                        power = square
+                    else:
+                        # M^2h times a zero entry of the state would give
+                        # NaN where stepping one at a time stays finite, so
+                        # the stride stops at h; zp keeps its rows.
+                        b = h
                 done += n
                 if n == b and _same_bits(block, zp[src : src + n]):
                     # The product reproduced its source: every later full
@@ -507,36 +529,6 @@ def _packed_step_matrix(
     step = v[:, rows, cols] + v[:, cols, rows]
     step[-1] += (half_c + half_c.T)[rows, cols]
     return step, expand
-
-
-def _step_powers(step: np.ndarray, n_steps: int) -> list[np.ndarray]:
-    """The squarings [M, M^2, M^4, ..., M^b] of the s x s packed step
-    matrix M; b is the stride of the packed fill.
-
-    b is the largest power of two up to _DIVERGENCE_CHECK_STEPS and
-    n_steps (a longer stride is never used) whose log2(b) squarings, s**3
-    multiply-adds each, come to at most 2**16 multiply-adds per step of the
-    run, about what a step saves by being a row of a matrix-matrix product
-    rather than a call of its own.  Measured
-    (same host as _KRON_STEP_MAX_DIM, medians of 9 runs in shuffled order,
-    dims 2 to 20, 16 to 2000 steps): this b took at most 18% longer than
-    the fastest of b = 1, 4, 16 and 64, and mostly as long within noise.
-    The squarings stop before the first power with a non-finite entry: such
-    a power times a zero entry of the state gives NaN where stepping one at
-    a time stays finite.
-    """
-    s = step.shape[0]
-    powers = [step]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while (
-            2 ** len(powers) <= min(_DIVERGENCE_CHECK_STEPS, n_steps)
-            and len(powers) * s**3 <= 2**16 * n_steps
-        ):
-            square = powers[-1] @ powers[-1]
-            if not np.isfinite(square).all():
-                break
-            powers.append(square)
-    return powers
 
 
 def compare_moment_trajectories(

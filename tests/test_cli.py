@@ -248,6 +248,16 @@ class TestSynth:
         assert code == 1
         assert f"'{field}' has an integer too large for a float" in err
 
+    def test_bad_option_entry_names_the_file_once(self, demo_paths, capsys):
+        problem, _ = demo_paths
+        doc = json.loads(problem.read_text())
+        doc["options"]["y1"] = [1.0, "x"]
+        bad = problem.with_name("bad_y1.json")
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["synth", str(bad)], capsys)
+        assert code == 1
+        assert err == f"error: {bad}: 'y1' entry 1 is not a number\n"
+
     def test_malformed_file_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "hamlink-problem", "format_version": 1}')

@@ -330,6 +330,22 @@ class TestLoaderDiagnostics:
                 load_problem(path)
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("x", "'y1' entry 1 is not a number"),
+            (10**400, "'y1' has an integer too large for a float"),
+        ],
+        ids=["not_a_number", "too_large"],
+    )
+    def test_bad_option_entry_names_the_file_once(self, tmp_path, entry, message):
+        doc = json.loads(problem_to_json(demo_problem()))
+        doc["options"]["y1"] = [1.0, entry]
+        path = tmp_path / "bad_y1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_problem(path)
+
+    @pytest.mark.parametrize(
         "message,mutate",
         [
             (

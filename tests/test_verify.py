@@ -1,7 +1,6 @@
 """Equivalence reports, moment integration, trajectory comparison."""
 
 import dataclasses
-import time
 import tracemalloc
 import warnings
 
@@ -11,6 +10,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from conftest import random_coupling_of_rank, random_symmetric, random_symplectic
 from hamlink import (
+    DAMPING_RATE,
     AlgebraicLoopError,
     DivergenceError,
     FeedbackRealization,
@@ -279,6 +279,24 @@ def damped_mode(kappa, n=1):
     return system_dynamics(params)
 
 
+def damped_pair(rng, n_a, n_b):
+    """A problem damped like the demo, every mode through its own channel at
+    DAMPING_RATE, with r_ab of spectral norm 20, and its realization."""
+
+    def system(n):
+        return LqssParams(
+            n=n,
+            r=random_symmetric(rng, 2 * n, 0.5),
+            c=np.sqrt(DAMPING_RATE) * np.eye(2 * n),
+            d=np.eye(2 * n),
+        )
+
+    r_ab = rng.normal(size=(2 * n_a, 2 * n_b))
+    r_ab *= 20.0 / np.linalg.norm(r_ab, 2)
+    di = DirectInteraction(sys_a=system(n_a), sys_b=system(n_b), r_ab=r_ab)
+    return di, synthesize(di.sys_a.r, di.sys_b.r, di.r_ab)
+
+
 def rotating_mode(omega):
     params = LqssParams(
         n=1,
@@ -323,6 +341,31 @@ class TestSimulateMoments:
         traj = simulate_moments(dyn, t_final=20.0 / kappa, dt=1e-3, cov0=cov0)
         assert np.max(np.abs(traj.covariances[-1] - steady)) <= 1e-6
         assert np.max(np.abs(steady - 0.5 * np.eye(2))) <= 1e-12
+
+    # The demo's dimension 10 takes the packed fill, whose last sample is
+    # read; a problem at dimension 34, damped like the demo, takes the split
+    # step, whose stationary sample is read.
+    @pytest.mark.parametrize("dim", [10, 34])
+    @pytest.mark.parametrize("dt", [1e-3, 5e-3])
+    @pytest.mark.parametrize("side", ["direct", "closed_loop"])
+    def test_stationary_sample_solves_the_lyapunov_equation(self, dim, dt, side):
+        # The RK4 step's fixed point solves a P + P a.T + q = 0 exactly, so a
+        # run that has settled holds the Lyapunov solution up to rounding.
+        if dim == 10:
+            di, fr = golden_pair()
+        else:
+            di, fr = damped_pair(np.random.default_rng(323), 8, 9)
+        dyn = direct_dynamics(di) if side == "direct" else closed_loop_dynamics(di, fr)
+        assert dyn.dim == dim
+        steady = solve_continuous_lyapunov(dyn.a, -0.5 * dyn.b_ext @ dyn.b_ext.T)
+        traj = simulate_moments(dyn, t_final=2.0, dt=dt)
+        if dim <= verify._KRON_STEP_MAX_DIM:
+            settled = -1
+        else:
+            settled = traj.stationary_from
+            assert settled is not None
+        error = np.max(np.abs(traj.covariances[settled] - steady))
+        assert error <= 1e-13 * max(1.0, np.max(np.abs(steady))), error
 
     def test_fourth_order_convergence(self):
         dyn = rotating_mode(2.0)
@@ -389,29 +432,21 @@ class TestSimulateMoments:
         assert 0.0 < info.value.time <= 400.0
         assert "diverged" in str(info.value)
 
-    def test_divergence_stops_early(self):
-        # the covariance overflows at t = 85 of 20000; the run must stop
-        # near there rather than integrate the rest of its 40000 steps.  The
-        # reference is an undamped rotation, which never becomes stationary
-        # and so steps its whole grid: a damped run reaches a fixed point
-        # and copies the rest.
-        def timed_run(a, mean0):
-            dyn = LinearDynamics(
-                a=a, b_ext=np.zeros((2, 0)), c_ext=np.zeros((0, 2)),
-                d_ext=np.zeros((0, 0)),
-            )
-            start = time.perf_counter()
-            try:
-                simulate_moments(dyn, t_final=20000.0, dt=0.5, mean0=mean0)
-            except DivergenceError as exc:
-                return time.perf_counter() - start, exc.time
-            return time.perf_counter() - start, None
-
-        full, diverged = timed_run(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.ones(2))
-        assert diverged is None
-        early, diverged = timed_run(5.0 * np.eye(2), np.array([1.0, 1.0]))
-        assert diverged == 85.0
-        assert early < 0.1 * full
+    # the packed fill, and the split step with the cutoff moved below dim 2
+    @pytest.mark.parametrize("cutoff", [verify._KRON_STEP_MAX_DIM, -1])
+    def test_divergence_stops_early(self, monkeypatch, cutoff):
+        # the covariance overflows at t = 85, sample 170 of 40000; the run
+        # must stop within one check block of there rather than step the
+        # rest of its grid.  The stepped samples are counted, not timed.
+        monkeypatch.setattr(verify, "_KRON_STEP_MAX_DIM", cutoff)
+        checks = record_checks(monkeypatch)
+        dyn = free_dynamics(5.0 * np.eye(2), np.zeros((2, 0)))
+        with pytest.raises(DivergenceError) as info:
+            simulate_moments(dyn, t_final=20000.0, dt=0.5, mean0=np.ones(2))
+        assert info.value.time == 85.0
+        stepped = stepped_samples(checks)
+        assert stepped == list(range(1, len(stepped) + 1))
+        assert 170 <= len(stepped) < 170 + FULL_STRIDE
 
     def test_rejects_bad_steps(self):
         dyn = damped_mode(1.0)
@@ -634,16 +669,20 @@ def kronecker_step_matrix(left, rhat, half_c):
 
 
 def record_strides(monkeypatch):
-    """Stride of the packed fill of every run that follows, in call order."""
+    """Largest product of the packed fill of every run that follows, in call
+    order, read from the row counts of its finiteness checks; each run's
+    first check starts at sample 1.  This is the run's stride b once its
+    grid holds 2b - 1 steps or more, and at most b below that."""
     strides = []
-    original = verify._step_powers
+    original = verify._check_finite
 
-    def recording(step, n_steps):
-        powers = original(step, n_steps)
-        strides.append(2 ** (len(powers) - 1))
-        return powers
+    def recording(block, first, dt):
+        if first == 1:
+            strides.append(0)
+        strides[-1] = max(strides[-1], len(block))
+        original(block, first, dt)
 
-    monkeypatch.setattr(verify, "_step_powers", recording)
+    monkeypatch.setattr(verify, "_check_finite", recording)
     return strides
 
 
@@ -765,6 +804,25 @@ class TestStackedStep:
         z = traj.covariances.base
         assert np.array_equal(z, z.transpose(0, 2, 1))
         assert np.all(z[:, dim, dim] == 1.0)
+
+    def test_traced_peak_holds_one_power(self):
+        # The demo over 2000 steps: dimension 10, s = 66, stride 64.  Above
+        # the returned arrays, keeping every squaring up to M^64 for the
+        # whole fill peaked at 9.5 step matrices, and holding one power at
+        # 3.5, of which the 2b-row buffer is 1.9.  The bound is four step
+        # matrices plus that buffer.
+        dyn = direct_dynamics(demo_problem().interaction)
+        s = packed_size(dyn.dim)
+        simulate_moments(dyn, 2.0, 1e-3)
+        tracemalloc.start()
+        try:
+            traj = simulate_moments(dyn, 2.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = traj.times.nbytes + traj.means.nbytes + traj.covariances.base.nbytes
+        bound = (4 * s + 2 * FULL_STRIDE) * s * 8
+        assert peak - stored <= bound, (peak - stored) / (s * s * 8)
 
     @pytest.mark.parametrize("dim", [1, 2, 10, verify._KRON_STEP_MAX_DIM])
     def test_step_matrix_matches_the_kronecker_form(self, dim):
