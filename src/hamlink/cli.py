@@ -68,38 +68,33 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_csv(text: str, flag: str) -> tuple[float, ...]:
+def _parse_csv(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise ValidationError(
-            f"{flag} expects comma-separated numbers, got {text!r}"
-        ) from None
+        raise ValidationError(f"expects comma-separated numbers, got {text!r}") from None
 
 
-def _flag(rule, name: str, convert=float):
-    """argparse type that checks a flag's value with the library's rule, so
-    that a bad value is refused while the command line is parsed."""
+def _flag(convert, rule=None, name: str = ""):
+    """argparse type that converts a flag's value, then checks it with the
+    library's rule if one is given, so that a bad value is refused while
+    the command line is parsed."""
     def parse(text: str):
         try:
-            return rule(convert(text), name)
+            value = convert(text)
+            return value if rule is None else rule(value, name)
         except (ValueError, ValidationError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
 def _merge_options(base: SynthOptions, args: argparse.Namespace) -> SynthOptions:
-    updates = {}
-    if getattr(args, "m", None) is not None:
-        updates["m"] = args.m
-    for flag in ("y1", "y2", "ga1", "ga2"):
-        raw = getattr(args, flag, None)
-        if raw is not None:
-            updates[flag] = _parse_csv(raw, "--" + flag)
-    if getattr(args, "p_matrix", None) is not None:
-        updates["p"] = load_mixing_matrix(args.p_matrix)
-    if getattr(args, "rank_tol", None) is not None:
-        updates["rank_tol"] = args.rank_tol
+    """The document's options, with the synth flags given laid over them."""
+    updates = {
+        name: getattr(args, name)
+        for name in ("m", "y1", "y2", "ga1", "ga2", "p", "rank_tol")
+        if getattr(args, name) is not None
+    }
     return dataclasses.replace(base, **updates) if updates else base
 
 
@@ -279,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # --tol, shared by the subcommands that take it.
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
-        "--tol", type=_flag(check_tolerance, "tol"), default=RESIDUAL_TOL,
+        "--tol", type=_flag(float, check_tolerance, "tol"), default=RESIDUAL_TOL,
         help=f"scaled residual tolerance of the checks (default {RESIDUAL_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command")
@@ -298,18 +293,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "not with --batch)",
     )
     p_synth.add_argument(
-        "--m", type=_flag(check_count, "m", int), help="interconnection channel count"
+        "--m", type=_flag(int, check_count, "m"), help="interconnection channel count"
     )
-    p_synth.add_argument("--y1", metavar="CSV", help="loop diagonal, first half")
-    p_synth.add_argument("--y2", metavar="CSV", help="loop diagonal, second half")
-    p_synth.add_argument("--ga1", metavar="CSV", help="first-system gains, first half")
-    p_synth.add_argument("--ga2", metavar="CSV", help="first-system gains, second half")
+    for flag, meaning in (
+        ("--y1", "loop diagonal, first half"),
+        ("--y2", "loop diagonal, second half"),
+        ("--ga1", "first-system gains, first half"),
+        ("--ga2", "first-system gains, second half"),
+    ):
+        p_synth.add_argument(flag, type=_flag(_parse_csv), metavar="CSV", help=meaning)
     p_synth.add_argument(
-        "--p-matrix", metavar="PATH",
+        "--p-matrix", dest="p", type=_flag(load_mixing_matrix), metavar="PATH",
         help="JSON file with an orthogonal symplectic mixing matrix",
     )
     p_synth.add_argument(
-        "--rank-tol", type=_flag(check_rank_tol, "rank_tol"),
+        "--rank-tol", type=_flag(float, check_rank_tol, "rank_tol"),
         help=f"relative rank threshold for the coupling (default {RANK_TOL:g})",
     )
 
@@ -319,12 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("problem", help="problem document path")
     p_verify.add_argument("report", help="report document path")
     p_verify.add_argument(
-        "--simulate", nargs=2, type=_flag(check_positive, "T_FINAL and DT"),
+        "--simulate", nargs=2, type=_flag(float, check_positive, "T_FINAL and DT"),
         metavar=("T_FINAL", "DT"),
         help="also compare moment trajectories over [0, T_FINAL] at step DT",
     )
     p_verify.add_argument(
-        "--sim-tol", type=_flag(check_tolerance, "sim_tol"),
+        "--sim-tol", type=_flag(float, check_tolerance, "sim_tol"),
         help=f"absolute tolerance of the moment comparison (default {SIM_TOL:g})",
     )
 
@@ -341,11 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("problem", help="problem document path")
     p_sim.add_argument(
-        "--t-final", type=_flag(check_positive, "t_final"), default=10.0,
+        "--t-final", type=_flag(float, check_positive, "t_final"), default=10.0,
         help="integration horizon (default 10)",
     )
     p_sim.add_argument(
-        "--dt", type=_flag(check_positive, "dt"), default=1e-3,
+        "--dt", type=_flag(float, check_positive, "dt"), default=1e-3,
         help="time step (default 1e-3)",
     )
     p_sim.add_argument(

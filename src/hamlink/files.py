@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -88,73 +89,75 @@ def _load_json(path: Path):
         raise ValidationError(f"{path}: an integer has too many digits to read") from None
 
 
-def _get(doc: dict, key: str, where: str):
+@contextmanager
+def _naming(path: Path):
+    """Prefix the document's path to a refusal raised inside the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _get(doc: dict, key: str):
     if key not in doc:
-        raise ValidationError(f"{where}: missing field '{key}'")
+        raise ValidationError(f"missing field '{key}'")
     return doc[key]
 
 
 _NUMBER_TYPES = {int, float}
 
 
-def _check_numbers(entries: list, key: str, where: str, row: int | None = None) -> None:
+def _check_numbers(entries: list, key: str, row: int | None = None) -> None:
     """Refuse any entry json did not read as a number: true, null, "1.5", ..."""
     # The set test scans the row in C; the loop runs only to name the entry.
     if _NUMBER_TYPES.issuperset(map(type, entries)):
         return
     j = next(j for j, entry in enumerate(entries) if type(entry) not in _NUMBER_TYPES)
     at = j if row is None else (row, j)
-    raise ValidationError(f"{where}: '{key}' entry {at} is not a number")
+    raise ValidationError(f"'{key}' entry {at} is not a number")
 
 
-def _floats(value, key: str, where: str) -> np.ndarray:
+def _floats(value, key: str) -> np.ndarray:
     try:
         return np.array(value, dtype=float)
     except OverflowError:
-        raise ValidationError(
-            f"{where}: '{key}' has an integer too large for a float"
-        ) from None
+        raise ValidationError(f"'{key}' has an integer too large for a float") from None
 
 
-def _as_matrix(value, key: str, where: str, cols: int = 0) -> np.ndarray:
+def _as_matrix(value, key: str, cols: int = 0) -> np.ndarray:
     """A list of equal rows of numbers; an empty list has `cols` columns."""
     if not isinstance(value, list):
-        raise ValidationError(f"{where}: field '{key}' must be a list of rows")
+        raise ValidationError(f"field '{key}' must be a list of rows")
     for i, row in enumerate(value):
         if not isinstance(row, list):
-            raise ValidationError(f"{where}: '{key}' row {i} is not a list")
+            raise ValidationError(f"'{key}' row {i} is not a list")
         if len(row) != len(value[0]):
             raise ValidationError(
-                f"{where}: '{key}' row {i} has {len(row)} entries, "
-                f"expected {len(value[0])}"
+                f"'{key}' row {i} has {len(row)} entries, expected {len(value[0])}"
             )
-        _check_numbers(row, key, where, i)
+        _check_numbers(row, key, i)
     width = len(value[0]) if value else cols
-    return _floats(value, key, where).reshape(len(value), width)
+    return _floats(value, key).reshape(len(value), width)
 
 
-def _as_vector(value, key: str, where: str) -> tuple[float, ...] | None:
+def _as_vector(value, key: str) -> tuple[float, ...] | None:
     if value is None:
         return None
     if not isinstance(value, list):
-        raise ValidationError(f"{where}: field '{key}' must be a list or null")
-    _check_numbers(value, key, where)
-    return tuple(_floats(value, key, where).tolist())
+        raise ValidationError(f"field '{key}' must be a list or null")
+    _check_numbers(value, key)
+    return tuple(_floats(value, key).tolist())
 
 
-def _check_header(doc, path: Path, expected: str) -> None:
+def _check_header(doc, expected: str) -> None:
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top-level value must be an object")
+        raise ValidationError("top-level value must be an object")
     fmt = doc.get("format")
     if fmt != expected:
-        raise ValidationError(
-            f"{path}: format is {fmt!r}, expected {expected!r}"
-        )
+        raise ValidationError(f"format is {fmt!r}, expected {expected!r}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValidationError(
-            f"{path}: format_version is {version!r}, expected {FORMAT_VERSION}"
-        )
+        raise ValidationError(f"format_version is {version!r}, expected {FORMAT_VERSION}")
 
 
 def _plain(values) -> list | None:
@@ -174,17 +177,13 @@ def _options_to_dict(options: SynthOptions) -> dict:
     }
 
 
-def _options_from_dict(doc: dict, where: str) -> SynthOptions:
+def _options_from_dict(doc: dict) -> SynthOptions:
     p_raw = doc.get("p")
-    p = None if p_raw is None else _as_matrix(p_raw, "p", where)
-    # Read before the try: their messages already name the file.
-    vectors = {k: _as_vector(doc.get(k), k, where) for k in ("y1", "y2", "ga1", "ga2")}
-    try:
-        return SynthOptions(
-            m=doc.get("m"), p=p, rank_tol=doc.get("rank_tol", RANK_TOL), **vectors
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    p = None if p_raw is None else _as_matrix(p_raw, "p")
+    vectors = {k: _as_vector(doc.get(k), k) for k in ("y1", "y2", "ga1", "ga2")}
+    return SynthOptions(
+        m=doc.get("m"), p=p, rank_tol=doc.get("rank_tol", RANK_TOL), **vectors
+    )
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -213,42 +212,36 @@ def save_problem(problem: Problem, path) -> None:
     Path(path).write_text(problem_to_json(problem))
 
 
-def _system_from_doc(doc: dict, where: str, side: str) -> LqssParams:
+def _system_from_doc(doc: dict, side: str) -> LqssParams:
     n_key, r_key, c_key, d_key = (
         f"{key}_{side}" for key in ("n", "r_bar", "c_bar", "d_bar")
     )
-    n = _get(doc, n_key, where)
-    try:
-        if check_count(n, n_key) == 0:
-            raise ValidationError(f"'{n_key}' must be positive")
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    r = _as_matrix(_get(doc, r_key, where), r_key, where)
-    c = _as_matrix(_get(doc, c_key, where), c_key, where, cols=2 * n)
-    d = _as_matrix(_get(doc, d_key, where), d_key, where, cols=c.shape[0])
+    n = _get(doc, n_key)
+    if check_count(n, n_key) == 0:
+        raise ValidationError(f"'{n_key}' must be positive")
+    r = _as_matrix(_get(doc, r_key), r_key)
+    c = _as_matrix(_get(doc, c_key), c_key, cols=2 * n)
+    d = _as_matrix(_get(doc, d_key), d_key, cols=c.shape[0])
     try:
         return LqssParams(n=n, r=r, c=c, d=d)
     except ValidationError as exc:
-        raise ValidationError(f"{where}: system {side}: {exc}") from exc
+        raise ValidationError(f"system {side}: {exc}") from exc
 
 
 def load_problem(path) -> Problem:
     """Read and validate a problem document."""
     path = Path(path)
     doc = _load_json(path)
-    _check_header(doc, path, PROBLEM_FORMAT)
-    where = str(path)
-    sys_a = _system_from_doc(doc, where, "a")
-    sys_b = _system_from_doc(doc, where, "b")
-    r_ab = _as_matrix(_get(doc, "r_ab", where), "r_ab", where)
-    options_doc = doc.get("options", {})
-    if not isinstance(options_doc, dict):
-        raise ValidationError(f"{where}: field 'options' must be an object")
-    options = _options_from_dict(options_doc, where)
-    try:
+    with _naming(path):
+        _check_header(doc, PROBLEM_FORMAT)
+        sys_a = _system_from_doc(doc, "a")
+        sys_b = _system_from_doc(doc, "b")
+        r_ab = _as_matrix(_get(doc, "r_ab"), "r_ab")
+        options_doc = doc.get("options", {})
+        if not isinstance(options_doc, dict):
+            raise ValidationError("field 'options' must be an object")
+        options = _options_from_dict(options_doc)
         interaction = DirectInteraction(sys_a=sys_a, sys_b=sys_b, r_ab=r_ab)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
     return Problem(interaction=interaction, options=options)
 
 
@@ -341,36 +334,35 @@ def save_trajectory(traj: MomentTrajectory, path) -> None:
 def load_mixing_matrix(path) -> np.ndarray:
     """Read a mixing-matrix file: one JSON list of rows, as for the p option."""
     path = Path(path)
-    return _as_matrix(_load_json(path), "p", str(path))
+    doc = _load_json(path)
+    with _naming(path):
+        return _as_matrix(doc, "p")
 
 
 def load_report(path) -> ReportDoc:
     """Read a report document; matrices are restored bit-identically."""
     path = Path(path)
     doc = _load_json(path)
-    _check_header(doc, path, REPORT_FORMAT)
-    where = str(path)
-    m = _get(doc, "m", where)
-    # An empty matrix is written as [] and loses its column count: r_a, r_b
-    # and c_a's rows restore it, and FeedbackRealization checks every shape.
-    r_a = _as_matrix(_get(doc, "r_a", where), "r_a", where)
-    r_b = _as_matrix(_get(doc, "r_b", where), "r_b", where)
-    c_a = _as_matrix(_get(doc, "c_a", where), "c_a", where, cols=r_a.shape[1])
-    c_b = _as_matrix(_get(doc, "c_b", where), "c_b", where, cols=r_b.shape[1])
-    x = _as_matrix(_get(doc, "x", where), "x", where, cols=c_a.shape[0])
-    sigma = _as_matrix(_get(doc, "sigma", where), "sigma", where, cols=c_a.shape[0])
-    verification = doc.get("verification", {})
-    provenance = doc.get("provenance", {})
-    if not isinstance(verification, dict):
-        raise ValidationError(f"{where}: field 'verification' must be an object")
-    if not isinstance(provenance, dict):
-        raise ValidationError(f"{where}: field 'provenance' must be an object")
-    try:
+    with _naming(path):
+        _check_header(doc, REPORT_FORMAT)
+        m = _get(doc, "m")
+        # An empty matrix, written as [], loses its column count: r_a, r_b and
+        # c_a's rows restore it, and FeedbackRealization checks every shape.
+        r_a = _as_matrix(_get(doc, "r_a"), "r_a")
+        r_b = _as_matrix(_get(doc, "r_b"), "r_b")
+        c_a = _as_matrix(_get(doc, "c_a"), "c_a", cols=r_a.shape[1])
+        c_b = _as_matrix(_get(doc, "c_b"), "c_b", cols=r_b.shape[1])
+        x = _as_matrix(_get(doc, "x"), "x", cols=c_a.shape[0])
+        sigma = _as_matrix(_get(doc, "sigma"), "sigma", cols=c_a.shape[0])
+        verification = doc.get("verification", {})
+        provenance = doc.get("provenance", {})
+        if not isinstance(verification, dict):
+            raise ValidationError("field 'verification' must be an object")
+        if not isinstance(provenance, dict):
+            raise ValidationError("field 'provenance' must be an object")
         realization = FeedbackRealization(
             m=m, c_a=c_a, c_b=c_b, x=x, sigma=sigma, r_a=r_a, r_b=r_b
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
     return ReportDoc(
         realization=realization, verification=verification, provenance=provenance
     )

@@ -35,6 +35,7 @@ from .symcore import (
     as_square_matrix,
     check_count,
     check_rank_tol,
+    check_real,
     check_symmetric,
     check_symplectic,
     j_times,
@@ -187,10 +188,15 @@ def _corrected(r_bar: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _resolve_diag(values, name: str, m: int) -> np.ndarray:
-    arr = np.ones(m) if values is None else np.asarray(values, float).reshape(-1)
-    if arr.shape != (m,) or not np.isfinite(arr).all():
-        raise ValidationError(f"{name} must have {m} finite entries, got {values!r}")
-    return arr
+    if values is None:
+        return np.ones(m)
+    try:  # every entry a real number: no bool, string or nested sequence
+        arr = np.array([check_real(v, name) for v in values])
+        if arr.shape == (m,) and np.isfinite(arr).all():
+            return arr
+    except (TypeError, ValidationError):
+        pass
+    raise ValidationError(f"{name} must have {m} finite entries, got {values!r}")
 
 
 def synthesize(
@@ -305,12 +311,10 @@ def synthesize(
         cond = np.max(s_max, initial=1.0) / s_min if s_min else np.inf
     refuse_ill_conditioned(cond, "X + I")
 
-    # Idle channel (y1*y2 = -1, zero coupling values): any gain works; zero
-    # keeps it decoupled.  The loop matrix itself is still singular at the
-    # Cayley step.
-    gain_den = np.where(idle, np.inf, den)
-    gb4 = 2.0 * t1 / (ga1 * gain_den)
-    gb3 = -2.0 * t2 / (ga2 * gain_den)
+    # The conditioning check has refused every idle channel: |1 + y1*y2| <=
+    # PARAM_TINY gives its block of X + I a condition number >= 4 / PARAM_TINY.
+    gb4 = 2.0 * t1 / (ga1 * den)
+    gb3 = -2.0 * t2 / (ga2 * den)
     gb1 = y2 * gb4
     gb2 = -y1 * gb3
 

@@ -1,6 +1,7 @@
 """Command-line interface, driven through main(argv)."""
 
 import dataclasses
+import functools
 import json
 import re
 import subprocess
@@ -27,6 +28,7 @@ from hamlink import (
 )
 from hamlink import cli
 from hamlink.cli import main
+from hamlink.files import load_mixing_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -295,6 +297,52 @@ class TestBatch:
     def test_batch_and_positional_conflict(self, tmp_path, capsys):
         code, _, err = run(["synth", "x.json", "--batch", str(tmp_path)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--y1=1,x", "argument --y1: expects comma-separated numbers, got '1,x'"),
+            ("--p-matrix", "argument --p-matrix: {p}: invalid JSON at line 1: "),
+        ],
+        ids=["csv", "p-matrix"],
+    )
+    def test_bad_flag_refuses_the_whole_batch_once(self, tmp_path, capsys, flag, message):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for name in ("one.json", "two.json"):
+            save_problem(demo_problem(), batch / name)
+        p_path = tmp_path / "p_bad.json"
+        p_path.write_text("[[1, 0], [0,")
+        argv = [flag, str(p_path)] if flag == "--p-matrix" else [flag]
+        code, out, err = run(["synth", "--batch", str(batch), *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count(message.format(p=p_path)) == 1
+        assert "one.json" not in err and "two.json" not in err
+        assert sorted(path.name for path in batch.iterdir()) == ["one.json", "two.json"]
+
+    def test_p_matrix_is_read_once_per_batch_run(self, tmp_path, capsys, monkeypatch):
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_mixing_matrix(path)
+
+        monkeypatch.setattr(cli, "load_mixing_matrix", counting)
+        # A parser built with the counting reader; the cached one is restored.
+        monkeypatch.setattr(
+            cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__)
+        )
+        for name in ("one.json", "two.json"):
+            save_problem(demo_problem(), tmp_path / name)
+        p_path = tmp_path / "p_mix.txt"  # not *.json: the batch would read it
+        p_path.write_text(json.dumps(np.diag([1.0, -1.0, 1.0, -1.0]).tolist()))
+        code, out, _ = run(
+            ["synth", "--batch", str(tmp_path), "--p-matrix", str(p_path)], capsys
+        )
+        assert code == 0
+        assert "batch: 2 problems, worst exit code 0" in out
+        assert reads == [str(p_path)]
 
     def test_batch_and_output_conflict(self, tmp_path, capsys):
         # A batch writes one report beside each problem, so a single -o
@@ -593,6 +641,8 @@ class TestTopLevel:
             "synth --rank-tol=nan",
             "synth --m=-1",
             "synth --m=2.5",
+            "synth --y1=1,x",
+            "synth --ga2=1,,2",
             pytest.param(f"synth --m={'9' * 400}", id="synth --m=<400 nines>"),
             "verify --sim-tol=-1",
             *(

@@ -24,7 +24,7 @@ from hamlink import (
     synthesize,
 )
 from hamlink.cli import main
-from hamlink.files import make_provenance, save_trajectory
+from hamlink.files import load_mixing_matrix, make_provenance, save_trajectory
 from hamlink.lqss import DirectInteraction, LqssParams
 from hamlink.verify import MomentTrajectory
 
@@ -489,6 +489,92 @@ class TestLoaderDiagnostics:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_problem(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "kind, mutate, tail",
+        [
+            (
+                "problem",
+                lambda d: d.update(format_version=99),
+                "format_version is 99, expected 1",
+            ),
+            ("problem", lambda d: d.pop("r_ab"), "missing field 'r_ab'"),
+            (
+                "problem",
+                lambda d: d["r_ab"][0].__setitem__(1, "zero"),
+                "'r_ab' entry (0, 1) is not a number",
+            ),
+            (
+                "problem",
+                lambda d: d["r_bar_a"].__setitem__(1, d["r_bar_a"][1][:3]),
+                "'r_bar_a' row 1 has 3 entries, expected 4",
+            ),
+            (
+                "problem",
+                lambda d: d.update(r_ab=[row[:4] for row in d["r_ab"]]),
+                "r_ab must be 4 x 6, got (4, 4)",
+            ),
+            (
+                "problem",
+                lambda d: d["options"].update(m=-1),
+                "m must be a nonnegative integer, got -1",
+            ),
+            (
+                "problem",
+                lambda d: d["options"].update(y1=[1.0, "x"]),
+                "'y1' entry 1 is not a number",
+            ),
+            (
+                "problem",
+                lambda d: d.update(d_bar_a=np.eye(2).tolist()),
+                "system a: d must be 4 x 4, got (2, 2)",
+            ),
+            ("problem", lambda d: d.update(n_a=0), "'n_a' must be positive"),
+            (
+                "problem",
+                lambda d: d.update(options=[]),
+                "field 'options' must be an object",
+            ),
+            (
+                "report",
+                lambda d: d["x"].pop(),
+                "x must have even dimensions (pairs of quadratures), got shape (3, 4)",
+            ),
+            (
+                "report",
+                lambda d: d.update(provenance=[]),
+                "field 'provenance' must be an object",
+            ),
+            (
+                "p-matrix",
+                lambda d: d[1].__setitem__(1, "x"),
+                "'p' entry (1, 1) is not a number",
+            ),
+            ("p-matrix", lambda d: d.__setitem__(3, None), "'p' row 3 is not a list"),
+        ],
+        ids=[
+            "header", "missing-field", "non-number", "ragged-row", "container",
+            "option", "option-vector", "system-a", "mode-count", "options-type",
+            "report-container", "report-field", "p-entry", "p-row",
+        ],
+    )
+    def test_every_refusal_names_the_file_once_at_the_start(
+        self, tmp_path, kind, mutate, tail
+    ):
+        # Whole messages: the loader adds the path once, the helpers never.
+        if kind == "problem":
+            load, doc = load_problem, json.loads(problem_to_json(demo_problem()))
+        elif kind == "report":
+            fr, report, _ = TestReportRoundTrip().make_report(tmp_path)
+            load, doc = load_report, json.loads(report_to_json(fr, report, {}))
+        else:
+            load, doc = load_mixing_matrix, np.eye(4).tolist()
+        mutate(doc)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {tail}"
 
     def test_report_loader_checks_shapes(self, tmp_path):
         problem = demo_problem()

@@ -337,8 +337,9 @@ class TestClosedFormCayley:
                 synthesize(di.sys_a.r, di.sys_b.r, di.r_ab, options)
 
     def test_near_idle_channel_names_its_condition_number(self):
-        # |1 + y1*y2| = 5e-13 is below the idle threshold, so the channel is
-        # decoupled, and X + I has condition number about 8e12.
+        # |1 + y1*y2| = 5e-13 is below the idle threshold, and X + I has
+        # condition number about 8e12: the conditioning check refuses the
+        # channel, as it refuses every idle one, before any gain is built.
         rng = np.random.default_rng(254)
         di = make_interaction(rng, 2, 2, rank=1)
         y1, y2 = (1.0, 1.0), (1.0, -1.0 + 5e-13)
@@ -482,10 +483,21 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("field", ["y1", "y2", "ga1", "ga2"])
     @pytest.mark.parametrize(
-        "values", [(1.0,), (1.0, 1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))]
+        "values",
+        [
+            (1.0,),
+            (1.0, 1.0, 1.0),
+            (float("nan"), 1.0),
+            (1.0, float("inf")),
+            (True, 1.0),
+            [[1.0], [1.0]],
+            ("a", 1.0),
+        ],
     )
     def test_per_channel_vector_of_wrong_length_or_not_finite(self, field, values):
-        # The demo needs m = 2: one finite entry per channel.
+        # The demo needs m = 2: one finite entry per channel.  A bool is not
+        # taken as 1, a nested list is not flattened, and a string entry is
+        # refused by name rather than by numpy.
         di = demo_problem().interaction
         options = SynthOptions(**{field: values})
         with pytest.raises(ValidationError, match=f"{field} must have 2 finite entries"):
